@@ -26,7 +26,7 @@ g = AttributedGraph.from_dense(
     node_ids=[f"v{i}" for i in range(6)],
     attr_ids=["red0", "red1", "blue0", "blue1"])
 
-model = embed(g, dim=4)  # truncated SVD of the walk matrix
+model = embed(g, dim=4)  # top eigenpairs of the symmetric walk matrix
 print(f"embedded {model.n} nodes + {model.m} attributes in "
       f"{model.dim} dimensions")
 

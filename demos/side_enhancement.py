@@ -1,4 +1,4 @@
-"""Refine an SVD embedding with the two side-information regularizers:
+"""Refine a walk-matrix embedding with the two side-information regularizers:
 a modularity matrix (community structure) and a node-node attribute
 cosine (semantic similarity), both folded into one graph Laplacian.
 

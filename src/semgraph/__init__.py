@@ -2,11 +2,12 @@
 
 Pipeline: an attributed graph becomes one weighted adjacency over nodes
 and attributes (`build_hetero_adjacency`), whose random-walk proximity
-matrix (`walk_matrix`) is factorized by truncated SVD (`factorize`, or
-`embed` for the whole chain).  `side_enhance` refines the factors with
-modularity and attribute-similarity regularizers.  `evaluate` scores
-node vectors by clustering or classification, and `describe_direct` /
-`describe_topics` turn communities into ranked attribute keywords.
+matrix (`walk_matrix`) is symmetric and is factorized at rank k through
+its dense symmetric eigendecomposition (`factorize`, or `embed` for the
+whole chain).  `side_enhance` refines the factors with modularity and
+attribute-similarity regularizers.  `evaluate` scores node vectors by
+clustering or classification, and `describe_direct` / `describe_topics`
+turn communities into ranked attribute keywords.
 """
 
 from .describe import (CommunityDescription, TopicDescription,

@@ -4,10 +4,10 @@ Subcommands cover the full workflow: `embed` and `enhance` produce
 embedding files, `eval-cluster` / `eval-classify` score them against
 labels, `describe` emits community keyword blocks, and `selftest` runs
 the built-in oracle suites.  Identical flags and inputs give
-byte-identical artifacts; errors exit 1 with a single
-"error<TAB>reason" line on stderr.  BLAS thread count is controlled by
-the usual environment variables (OMP_NUM_THREADS and friends), never by
-flags.
+byte-identical artifacts for a fixed BLAS configuration; errors exit 1
+with a single "error<TAB>reason" line on stderr.  BLAS thread count is
+controlled by the usual environment variables (OMP_NUM_THREADS and
+friends), never by flags.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ def _load(args):
 
 
 def _model(args, g, lambdas=None):
-    """Shared pipeline: combined graph, walk matrix, SVD, optional
-    refinement."""
+    """Shared pipeline: combined graph, walk matrix, rank-k
+    factorization, optional refinement."""
     hetero = build_hetero_adjacency(
         g, deltas=(args.delta0, args.delta1, args.delta2),
         weighted_motifs=args.weighted_motifs, size_cap=args.size_cap)

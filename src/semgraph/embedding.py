@@ -1,4 +1,9 @@
-"""Random-walk proximity matrix and its truncated-SVD factorization."""
+"""Random-walk proximity matrix and its truncated factorization.
+
+The walk matrix is symmetric, so its best rank-k factorization comes from
+the k eigenpairs of largest magnitude (a dense symmetric eigensolver);
+other square inputs fall back to a full SVD.
+"""
 
 from __future__ import annotations
 
@@ -64,7 +69,9 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     Averages the first `order` powers of the degree-normalized adjacency,
     rescales by graph volume, inverse degrees and the negative-sampling
     count, and applies the truncated logarithm log(max(., 1)) so entries
-    below the sampling threshold vanish instead of diverging.
+    below the sampling threshold vanish instead of diverging.  The result
+    is symmetric in exact arithmetic; it is symmetrized so it is exactly
+    symmetric in floating point too, which routes it to the eigensolver.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -77,37 +84,50 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     volume = float(degrees.sum())
 
     transition = B / degrees[:, None]
-    power = np.eye(B.shape[0])
-    acc = np.zeros_like(B)
-    for _ in range(order):
+    power = transition
+    acc = transition.copy()
+    for _ in range(order - 1):
         power = power @ transition
         acc += power
 
     scaled = (volume / (order * negatives)) * acc / degrees[None, :]
     Z = np.log(np.maximum(scaled, 1.0))
+    Z = (Z + Z.T) / 2.0  # exact symmetry despite BLAS rounding
     return WalkMatrix(matrix=Z, volume=volume, degrees=degrees,
                       n=hetero.n, m=hetero.m, order=order,
                       negatives=negatives)
 
 
 def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
-    """Best rank-`dim` factorization of the walk matrix via SVD.
+    """Best rank-`dim` factorization of the walk matrix.
 
-    Left and right factors are both scaled by the square root of the kept
-    singular values; column signs are fixed so the largest-magnitude entry
-    of each left singular vector is positive, making output reproducible.
+    An exactly symmetric matrix Q diag(lam) Q^T is factorized by dense
+    `eigh`: the `dim` eigenpairs of largest |lam| give singular values
+    |lam|, left vectors Q and right vectors Q * sign(lam).  Any other
+    square matrix takes a full SVD.  Left and right factors are both
+    scaled by the square root of the kept singular values; column signs
+    are fixed so the largest-magnitude entry of each left singular vector
+    is positive, making output reproducible.
     """
-    size = walk.matrix.shape[0]
+    Z = walk.matrix
+    size = Z.shape[0]
     if not 1 <= dim <= size:
         raise ValueError(f"dim must be in [1, {size}], got {dim}")
     try:
-        U, s, Vt = np.linalg.svd(walk.matrix, full_matrices=False)
+        if np.array_equal(Z, Z.T):
+            lam, Q = np.linalg.eigh(Z)
+            keep = np.argsort(-np.abs(lam), kind="stable")[:dim]
+            lam, U = lam[keep], Q[:, keep]
+            s = np.abs(lam)
+            Vt = (U * np.where(lam < 0, -1.0, 1.0)[None, :]).T
+        else:
+            U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+            U, s, Vt = U[:, :dim], s[:dim], Vt[:dim]
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"SVD failed to converge on a {size}x{size} matrix "
-            f"(norm {np.linalg.norm(walk.matrix):.3e}, "
-            f"finite={np.all(np.isfinite(walk.matrix))})") from exc
-    U, s, Vt = U[:, :dim], s[:dim], Vt[:dim]
+            f"factorization failed to converge on a {size}x{size} matrix "
+            f"(norm {np.linalg.norm(Z):.3e}, "
+            f"finite={np.all(np.isfinite(Z))})") from exc
 
     anchor = np.argmax(np.abs(U), axis=0)
     signs = np.where(U[anchor, np.arange(dim)] < 0, -1.0, 1.0)
@@ -126,7 +146,7 @@ def embed(g: AttributedGraph, dim: int = 64, order: int = 4,
           weighted_motifs: bool = False, attr_similarity: bool = True,
           size_cap: int = DENSE_SIZE_CAP,
           clamp_dim: bool = False) -> EmbeddingModel:
-    """Full pipeline: combined adjacency, walk matrix, truncated SVD.
+    """Full pipeline: combined adjacency, walk matrix, factorization.
 
     With clamp_dim=True a dim exceeding the entity count is lowered to it
     instead of raising, so small graphs run under default settings.

@@ -107,12 +107,6 @@ class HeteroAdjacency:
     def m(self) -> int:
         return self.similarity_block.shape[0]
 
-    def dump_tsv(self, path) -> None:
-        """Debug dump of nonzero entries as "i<TAB>j<TAB>value" triples."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for i, j in zip(*np.nonzero(self.matrix)):
-                fh.write(f"{i}\t{j}\t{self.matrix[i, j]:.17g}\n")
-
 
 def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
                            weighted_motifs: bool = False,

@@ -66,19 +66,24 @@ def _check_motifs(rng, rounds):
 
 
 def _check_factorization(rng, rounds):
+    """Eckart-Young tail norms at every rank, on a general matrix (the SVD
+    path) and on its symmetric part (the eigh path walk matrices take)."""
     from .embedding import WalkMatrix
     worst = 0.0
     for _ in range(rounds):
         size = int(rng.integers(2, 10))
         Z = rng.normal(size=(size, size))
-        walk = WalkMatrix(matrix=Z, volume=1.0, degrees=np.ones(size),
-                          n=size, m=0, order=1, negatives=1)
-        s = np.linalg.svd(Z, compute_uv=False)
-        for k in range(1, size + 1):
-            model = factorize(walk, k)
-            resid = np.linalg.norm(Z - model.vectors @ model.context.T)
-            tail = float(np.sqrt((s[k:] ** 2).sum()))
-            worst = max(worst, abs(resid - tail))
+        for target in (Z, (Z + Z.T) / 2.0):
+            walk = WalkMatrix(matrix=target, volume=1.0,
+                              degrees=np.ones(size), n=size, m=0, order=1,
+                              negatives=1)
+            s = np.linalg.svd(target, compute_uv=False)
+            for k in range(1, size + 1):
+                model = factorize(walk, k)
+                resid = np.linalg.norm(
+                    target - model.vectors @ model.context.T)
+                tail = float(np.sqrt((s[k:] ** 2).sum()))
+                worst = max(worst, abs(resid - tail))
     return worst, 1e-8
 
 

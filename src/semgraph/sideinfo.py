@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .embedding import EmbeddingModel, WalkMatrix
 from .hetero import mnorm
@@ -135,19 +136,20 @@ def objective_grad_y(Z, X, Y):
 
 def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Regularized update of the entity factor:
-    X' = (I + L)^+ Z Y (Y^T Y + I_k)^+.
+    X' = (I + L)^-1 Z Y (Y^T Y + I_k)^-1.
 
-    Both system matrices are symmetric positive semi-definite; the
-    pseudo-inverses zero singular values below 1e-12 of the largest.
+    L is a Laplacian of non-negative weights, so both system matrices are
+    symmetric positive definite with smallest eigenvalue at least 1; each
+    is applied by a Cholesky solve instead of an explicit inverse.  An
+    I + L that is not positive definite raises LinAlgError.
     """
     for name, M in (("Z", Z), ("Y", Y), ("L", L)):
         if not np.all(np.isfinite(M)):
             raise ValueError(f"{name} contains non-finite entries")
     size = Z.shape[0]
     k = Y.shape[1]
-    left = np.linalg.pinv(np.eye(size) + L, rcond=_PINV_RCOND)
-    right = np.linalg.pinv(Y.T @ Y + np.eye(k), rcond=_PINV_RCOND)
-    return left @ Z @ Y @ right
+    left = cho_solve(cho_factor(np.eye(size) + L), Z @ Y)
+    return cho_solve(cho_factor(Y.T @ Y + np.eye(k)), left.T).T
 
 
 def update_y(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -159,11 +161,13 @@ def update_y(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def side_enhance(model: EmbeddingModel, walk: WalkMatrix, side: SideInfo,
                  iterations: int = 1) -> EmbeddingModel:
-    """Refine an SVD initialization against the regularized objective.
+    """Refine a factorization against the regularized objective.
 
-    Each iteration recomputes X with the current Y, then Y with the
-    fresh X.  One round is the intended use; the objective value is
-    logged before and after each round, with no monotonicity claim.
+    Each iteration recomputes X with the current Y by two Cholesky
+    solves (`update_x`), then Y with the fresh X by the exact
+    least-squares update (`update_y`).  One round is the intended use;
+    the objective value is logged before and after each round, with no
+    monotonicity claim.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")

@@ -1,11 +1,17 @@
 """End-to-end command-line tests over small on-disk fixtures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semgraph
 from semgraph import (build_hetero_adjacency, build_side_info, factorize,
-                      load_graph, read_embeddings, side_enhance, walk_matrix,
-                      write_embeddings)
+                      load_graph, planted_attributed_sbm, read_embeddings,
+                      side_enhance, walk_matrix, write_embeddings)
 from semgraph.cli import build_parser, main
 
 
@@ -83,6 +89,31 @@ class TestEmbed:
         model = factorize(walk, 5)
         got = read_embeddings(str(out))
         assert np.array_equal(got.vectors, model.vectors)
+
+    def test_blas_thread_count_moves_output_within_tolerance(self, tmp_path):
+        """Artifacts are byte-identical only for a fixed BLAS configuration;
+        across thread counts they must agree to rounding level."""
+        g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
+        A, R = g.adjacency.tocoo(), g.attr_weights.tocoo()
+        edges, attrs = tmp_path / "edges.tsv", tmp_path / "attrs.tsv"
+        _write(edges, [f"{g.node_ids[i]}\t{g.node_ids[j]}"
+                       for i, j in zip(A.row, A.col) if i < j])
+        _write(attrs, [f"{g.node_ids[i]}\t{g.attr_ids[w]}\t{v:.17g}"
+                       for i, w, v in zip(R.row, R.col, R.data)])
+        src = str(Path(semgraph.__file__).resolve().parents[1])
+        vectors = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"emb{threads}.tsv"
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "semgraph.cli", "embed",
+                            "--edges", str(edges), "--attrs", str(attrs),
+                            "--out", str(out)], env=env, check=True)
+            vectors.append(read_embeddings(str(out)).vectors)
+        assert vectors[0].shape == (g.n + g.m, 64)
+        assert np.abs(vectors[0] - vectors[1]).max() <= 1e-9
 
 
 class TestEnhance:

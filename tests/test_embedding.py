@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
-                      embed, factorize, walk_matrix)
+                      embed, factorize, planted_attributed_sbm, walk_matrix)
 
 
 def _hetero_from_dense(B):
@@ -34,13 +34,16 @@ class TestWalkMatrix:
 
     def test_entries_nonnegative_and_symmetric(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            A, R0 = oracles.random_connected_graph(rng)
-            hetero = build_hetero_adjacency(AttributedGraph.from_dense(A, R0))
+        graphs = [AttributedGraph.from_dense(*oracles.random_connected_graph(
+            rng)) for _ in range(20)]
+        graphs.append(planted_attributed_sbm(nodes=200, blocks=4, seed=0))
+        for g in graphs:
+            hetero = build_hetero_adjacency(g)
             walk = walk_matrix(hetero, order=int(rng.integers(1, 5)))
             Z = walk.matrix
             assert Z.min() >= 0.0
-            assert np.abs(Z - Z.T).max() < 1e-10
+            # exact, so factorize takes its symmetric eigensolver path
+            assert np.array_equal(Z, Z.T)
 
     def test_transition_rows_stochastic(self):
         rng = np.random.default_rng(1)
@@ -126,6 +129,22 @@ class TestFactorize:
         X, Y = model.vectors, model.context
         gap = np.linalg.norm(X @ X.T - Y @ Y.T) / np.linalg.norm(X @ X.T)
         assert gap <= 1e-6
+
+    def test_planted_walk_matches_svd(self):
+        dim = 64
+        g = planted_attributed_sbm(nodes=120, blocks=3, seed=0)
+        walk = walk_matrix(build_hetero_adjacency(g))
+        Z = walk.matrix
+        U, s, Vt = np.linalg.svd(Z)
+        # a gap after the kept values makes the truncation unique
+        assert s[dim - 1] - s[dim] > 1e-6 * s[0]
+        model = factorize(walk, dim)
+        got = (np.linalg.norm(model.vectors, axis=0)
+               * np.linalg.norm(model.context, axis=0))
+        assert np.all(np.abs(got - s[:dim]) <= 1e-10 * s[:dim])
+        truncated = (U[:, :dim] * s[:dim]) @ Vt[:dim]
+        err = np.linalg.norm(model.vectors @ model.context.T - truncated)
+        assert err <= 1e-10 * np.linalg.norm(truncated)
 
     def test_sign_convention_and_determinism(self):
         rng = np.random.default_rng(7)

@@ -133,14 +133,15 @@ def _load(args):
     return load_graph(args.edges, args.attrs, labels_path=args.labels)
 
 
-def _model(args, g, lambdas=None):
+def _model(args, g, refine=False):
     """Shared pipeline: combined graph, walk matrix, rank-k
-    factorization, optional refinement."""
-    hetero = build_hetero_adjacency(
+    factorization, and with refine=True one refinement round against the
+    side information weighted by --lambda1 / --lambda2."""
+    walk = walk_matrix(build_hetero_adjacency(
         g, deltas=(args.delta0, args.delta1, args.delta2),
-        weighted_motifs=args.weighted_motifs, size_cap=args.size_cap)
-    walk = walk_matrix(hetero, order=args.order, negatives=args.neg)
-    size = hetero.n + hetero.m
+        weighted_motifs=args.weighted_motifs, size_cap=args.size_cap),
+        order=args.order, negatives=args.neg)
+    size = walk.n + walk.m
     dim = args.dim
     if dim > size:
         print(f"warning: dim {dim} clamped to the {size} available entities",
@@ -150,31 +151,23 @@ def _model(args, g, lambdas=None):
     model.node_ids = list(g.node_ids)
     if model.m == g.m:
         model.attr_ids = list(g.attr_ids)
-    if lambdas is not None and lambdas != (0.0, 0.0):
-        side = build_side_info(g, lambdas=lambdas)
+    if refine:
+        side = build_side_info(g, lambdas=(args.lambda1, args.lambda2))
         model = side_enhance(model, walk, side)
-    return model, walk
+    return model
 
 
 def _cmd_embed(args):
+    """`embed`, and `enhance`, which always refines before writing."""
     g = _load(args)
-    model, _ = _model(args, g)
-    write_embeddings(model, args.out)
-    return 0
-
-
-def _cmd_enhance(args):
-    g = _load(args)
-    model, walk = _model(args, g)
-    side = build_side_info(g, lambdas=(args.lambda1, args.lambda2))
-    model = side_enhance(model, walk, side)
+    model = _model(args, g, refine=args.command == "enhance")
     write_embeddings(model, args.out)
     return 0
 
 
 def _cmd_eval(args, task):
     g = _load(args)
-    model, _ = _model(args, g, lambdas=(args.lambda1, args.lambda2))
+    model = _model(args, g, refine=bool(args.lambda1 or args.lambda2))
     report = evaluate(model, g, task=task, repeats=args.repeats,
                       train_fraction=args.train_frac, seed=args.seed)
     print(report.table())
@@ -186,7 +179,7 @@ def _cmd_eval(args, task):
 
 def _cmd_describe(args):
     g = _load(args)
-    model, _ = _model(args, g, lambdas=(args.lambda1, args.lambda2))
+    model = _model(args, g, refine=bool(args.lambda1 or args.lambda2))
     k1 = args.node_clusters
     if k1 is None:
         if g.c is None:
@@ -214,10 +207,8 @@ def _cmd_describe(args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "embed":
+        if args.command in ("embed", "enhance"):
             return _cmd_embed(args)
-        if args.command == "enhance":
-            return _cmd_enhance(args)
         if args.command == "eval-cluster":
             return _cmd_eval(args, "clustering")
         if args.command == "eval-classify":

@@ -91,21 +91,31 @@ def combine_relations(R0, R1, R2, deltas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HeteroAdjacency:
-    """Symmetric weighted adjacency over node and attribute entities."""
+    """Symmetric weighted adjacency B over n node and m attribute entities.
+
+    B is stored once; its three blocks are views into it: the topology
+    B[:n, :n], the node-attribute relations B[:n, n:] and the
+    attribute-attribute similarity B[n:, n:].
+    """
 
     matrix: np.ndarray
-    adjacency_block: np.ndarray
-    relation_block: np.ndarray
-    similarity_block: np.ndarray
-    deltas: tuple[float, float, float]
-
-    @property
-    def n(self) -> int:
-        return self.adjacency_block.shape[0]
+    n: int
 
     @property
     def m(self) -> int:
-        return self.similarity_block.shape[0]
+        return self.matrix.shape[0] - self.n
+
+    @property
+    def adjacency_block(self) -> np.ndarray:
+        return self.matrix[:self.n, :self.n]
+
+    @property
+    def relation_block(self) -> np.ndarray:
+        return self.matrix[:self.n, self.n:]
+
+    @property
+    def similarity_block(self) -> np.ndarray:
+        return self.matrix[self.n:, self.n:]
 
 
 def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
@@ -125,9 +135,6 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
         raise ValueError(
             f"dense construction over {n + m} entities exceeds the size cap "
             f"of {size_cap}; raise size_cap explicitly to proceed")
-    deltas = tuple(float(d) for d in deltas)
-
-    A = g.adjacency.toarray().astype(float)
     if m:
         sim = (attribute_similarity(g.attr_weights) if attr_similarity
                else np.zeros((m, m)))
@@ -146,7 +153,7 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
         rel = np.zeros((n, 0))
 
     B = np.zeros((n + m, n + m))
-    B[:n, :n] = A
+    B[:n, :n] = g.adjacency.toarray()
     B[:n, n:] = rel
     B[n:, :n] = rel.T
     B[n:, n:] = sim
@@ -158,8 +165,7 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
                 else f"attribute {g.attr_ids[i - n]!r}")
         raise ValueError(f"{name} is isolated in the combined graph")
 
-    return HeteroAdjacency(matrix=B, adjacency_block=A, relation_block=rel,
-                           similarity_block=sim, deltas=deltas)
+    return HeteroAdjacency(matrix=B, n=n)
 
 
 def _to_dense(matrix) -> np.ndarray:

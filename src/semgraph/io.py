@@ -165,17 +165,16 @@ def load_graph(edges_path, attrs_path, labels_path=None) -> AttributedGraph:
     for name, w in attr_index.items():
         attr_ids[w] = name
 
-    adjacency = sparse.lil_array((n, n))
-    for i, j in edges:
-        adjacency[i, j] = 1.0
-        adjacency[j, i] = 1.0
-    adjacency = sparse.csr_array(adjacency)
+    u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    adjacency = sparse.coo_array(
+        (np.ones(2 * len(u)),
+         (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(n, n)).tocsr()
 
-    m_raw = len(attr_index)
-    attrs = sparse.lil_array((n, max(m_raw, 1)))
-    for (i, w), value in weights.items():
-        attrs[i, w] = value
-    attrs = sparse.csr_array(attrs)[:, :m_raw]
+    rows, cols = np.array(list(weights), dtype=np.int64).reshape(-1, 2).T
+    attrs = sparse.coo_array(
+        (np.array(list(weights.values()), dtype=float), (rows, cols)),
+        shape=(n, len(attr_index))).tocsr()
 
     # Attributes without a positive entry carry no relation; drop them.
     keep = np.flatnonzero((attrs > 0).sum(axis=0))

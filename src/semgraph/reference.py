@@ -1,53 +1,77 @@
-"""Slow, literal reference implementations used by the selftest command.
+"""Slow, literal reference implementations: the one home of the oracles
+that both `semgraph selftest` and the test suite check the fast paths
+against.
 
 Everything here trades speed for obviousness: walk proximity is assembled
-power by power from the definition, and motif counts come from explicit
-instance enumeration.  The production code paths must agree with these on
-random inputs; keep the two free of shared helpers.
+power by power from the definition, motif counts come from explicit
+instance enumeration, and random instances are drawn edge by edge.  The
+production code paths must agree with these on random inputs, so this
+module imports nothing from the rest of semgraph: a shared helper would
+let one bug pass both sides of the comparison.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
-def walk_matrix_oracle(B: np.ndarray, order: int, negatives: int) -> np.ndarray:
-    """vol(G') * mean of the first `order` transition powers, scaled by
-    inverse degrees and the negative-sampling count, truncated-log."""
+def walk_oracle(B, order, negatives):
+    """Literal power sum: volume * mean of transition powers * D^-1 / b,
+    truncated log."""
     B = np.asarray(B, dtype=float)
-    d = B.sum(axis=1)
-    if np.any(d <= 0):
-        raise ValueError("zero-degree entity")
+    size = B.shape[0]
+    d = np.array([B[i].sum() for i in range(size)])
     vol = d.sum()
-    Dinv = np.diag(1.0 / d)
-    P = Dinv @ B
-    acc = np.zeros_like(B)
-    for r in range(1, order + 1):
-        acc = acc + np.linalg.matrix_power(P, r)
-    M = vol * (acc / order) @ Dinv / negatives
-    return np.log(np.maximum(M, 1.0))
+    P = np.diag(1.0 / d) @ B
+    total = np.zeros((size, size))
+    current = np.eye(size)
+    for _ in range(order):
+        current = current @ P
+        total = total + current
+    M = vol * (total / order) @ np.diag(1.0 / d) / negatives
+    Z = np.zeros((size, size))
+    for i in range(size):
+        for j in range(size):
+            Z[i, j] = np.log(M[i, j]) if M[i, j] > 1.0 else 0.0
+    return Z
 
 
-def motif_oracle(R0: np.ndarray):
-    """Count two-node-one-attribute and one-node-two-attribute instances.
-
-    Returns (shared_nodes, shared_attrs): entry [i, w] counts, for a
-    carried pair (i, w), the other nodes also carrying w, respectively the
-    other attributes i also carries.  `weighted` scaling is the caller's
-    concern; this enumerates instances on the binary support.
-    """
+def motif_enumeration(R0):
+    """Count actual motif instances: every two-carrier pair on one
+    attribute, every two-attribute pair on one carrier."""
     R0 = np.asarray(R0)
     n, m = R0.shape
-    shared_nodes = np.zeros((n, m))
-    shared_attrs = np.zeros((n, m))
+    R1 = np.zeros((n, m))
+    R2 = np.zeros((n, m))
+    for w in range(m):
+        carriers = [i for i in range(n) if R0[i, w] > 0]
+        for i, j in itertools.combinations(carriers, 2):
+            R1[i, w] += 1
+            R1[j, w] += 1
     for i in range(n):
-        for w in range(m):
-            if R0[i, w] <= 0:
-                continue
-            for j in range(n):
-                if j != i and R0[j, w] > 0:
-                    shared_nodes[i, w] += 1
-            for u in range(m):
-                if u != w and R0[i, u] > 0:
-                    shared_attrs[i, w] += 1
-    return shared_nodes, shared_attrs
+        carried = [w for w in range(m) if R0[i, w] > 0]
+        for w, s in itertools.combinations(carried, 2):
+            R2[i, w] += 1
+            R2[i, s] += 1
+    return R1, R2
+
+
+def random_connected_graph(rng, max_n=8, max_m=5):
+    """(A, R0) with connected topology and fully-carried binary columns."""
+    n = int(rng.integers(2, max_n + 1))
+    m = int(rng.integers(1, max_m + 1))
+    A = np.zeros((n, n))
+    order = rng.permutation(n)
+    for pos in range(1, n):
+        anchor = order[int(rng.integers(pos))]
+        A[order[pos], anchor] = A[anchor, order[pos]] = 1.0
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.3:
+            A[i, j] = A[j, i] = 1.0
+    R0 = (rng.random((n, m)) < 0.4).astype(float)
+    for w in range(m):
+        if R0[:, w].sum() == 0:
+            R0[int(rng.integers(n)), w] = 1.0
+    return A, R0

@@ -3,8 +3,9 @@
 Run via the CLI `selftest` command.  Each suite draws many random small
 instances, compares the production implementation with the literal one in
 `reference`, and reports one line; any discrepancy fails the whole run.
-The suites mirror the repository's acceptance tests so a deployed binary
-can be sanity-checked without a test harness present.
+The walk and motif suites draw their instances and their expected values
+from the same `reference` oracles the test suite uses, so a deployed
+binary can be sanity-checked without a test harness present.
 """
 
 from __future__ import annotations
@@ -20,32 +21,14 @@ from .hetero import build_hetero_adjacency, motif_relations
 from .io import AttributedGraph
 
 
-def _random_attributed_graph(rng, max_n=8, max_m=5):
-    """Connected topology (random recursive tree + extra edges), binary
-    attributes with every column carried at least once."""
-    n = int(rng.integers(2, max_n + 1))
-    m = int(rng.integers(1, max_m + 1))
-    A = np.zeros((n, n))
-    for i in range(1, n):
-        j = int(rng.integers(i))
-        A[i, j] = A[j, i] = 1.0
-    extra = np.triu(rng.random((n, n)) < 0.3, k=1)
-    A = np.maximum(A, (extra | extra.T).astype(float))
-    np.fill_diagonal(A, 0.0)
-    R = (rng.random((n, m)) < 0.4).astype(float)
-    for w in np.flatnonzero(R.sum(axis=0) == 0):
-        R[int(rng.integers(n)), w] = 1.0
-    return AttributedGraph.from_dense(A, R)
-
-
 def _check_walk(rng, rounds):
     worst = 0.0
     for _ in range(rounds):
-        g = _random_attributed_graph(rng)
+        g = AttributedGraph.from_dense(*reference.random_connected_graph(rng))
         hetero = build_hetero_adjacency(g)
         order = int(rng.integers(1, 5))
         ours = walk_matrix(hetero, order=order, negatives=1).matrix
-        ref = reference.walk_matrix_oracle(hetero.matrix, order, 1)
+        ref = reference.walk_oracle(hetero.matrix, order, 1)
         scale = max(1.0, float(np.abs(ref).max()))
         worst = max(worst, float(np.abs(ours - ref).max()) / scale)
     return worst, 1e-10
@@ -58,7 +41,7 @@ def _check_motifs(rng, rounds):
         m = int(rng.integers(1, 6))
         R = (rng.random((n, m)) < 0.5).astype(float)
         ours = motif_relations(R)
-        ref = reference.motif_oracle(R)
+        ref = reference.motif_enumeration(R)
         worst = max(worst,
                     float(np.abs(ours[0] - ref[0]).max()),
                     float(np.abs(ours[1] - ref[1]).max()))

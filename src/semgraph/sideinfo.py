@@ -26,25 +26,36 @@ _PINV_RCOND = 1e-12
 
 @dataclass(frozen=True)
 class SideInfo:
-    """Normalized similarity sources and their combined Laplacian.
+    """The two normalized n-by-n similarity sources and their weights.
 
-    q_norm / s_norm are the n-by-n normalized sources; t1 / t2 pad them
-    with zero rows and columns up to all n+m entities, so attribute
-    vectors feel no pull.  combined = lambda1*L1 + lambda2*L2 with
-    L_l the Laplacian of t_l.
+    Only q_norm and s_norm are stored.  t1 / t2 pad them with zero rows
+    and columns up to all `size` = n+m entities, so attribute vectors
+    feel no pull; laplacians are the Laplacians of t1 and t2, and
+    combined = lambda1*L1 + lambda2*L2.  These are derived on each
+    access, as size-by-size arrays.
     """
 
     q_norm: np.ndarray
     s_norm: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-    laplacians: tuple[np.ndarray, np.ndarray]
     lambdas: tuple[float, float]
-    combined: np.ndarray
+    size: int
 
     @property
-    def size(self) -> int:
-        return self.combined.shape[0]
+    def t1(self) -> np.ndarray:
+        return _pad(self.q_norm, self.size)
+
+    @property
+    def t2(self) -> np.ndarray:
+        return _pad(self.s_norm, self.size)
+
+    @property
+    def laplacians(self) -> tuple[np.ndarray, np.ndarray]:
+        return _laplacian(self.t1), _laplacian(self.t2)
+
+    @property
+    def combined(self) -> np.ndarray:
+        L1, L2 = self.laplacians
+        return self.lambdas[0] * L1 + self.lambdas[1] * L2
 
 
 def modularity_matrix(g: AttributedGraph) -> np.ndarray:
@@ -84,20 +95,15 @@ def _laplacian(T: np.ndarray) -> np.ndarray:
 
 
 def build_side_info(g: AttributedGraph, lambdas=(1.0, 1.0)) -> SideInfo:
-    """Normalize both sources, pad to n+m entities, combine Laplacians."""
+    """Normalize both sources; they cover n+m entities once padded."""
     if len(lambdas) != 2:
         raise ValueError("exactly two source weights expected")
     lam = (float(lambdas[0]), float(lambdas[1]))
     if lam[0] < 0 or lam[1] < 0:
         raise ValueError("source weights must be non-negative")
-    size = g.n + g.m
-    q_norm = mnorm(modularity_matrix(g))
-    s_norm = mnorm(attribute_cosine(g))
-    t1, t2 = _pad(q_norm, size), _pad(s_norm, size)
-    laplacians = (_laplacian(t1), _laplacian(t2))
-    combined = lam[0] * laplacians[0] + lam[1] * laplacians[1]
-    return SideInfo(q_norm=q_norm, s_norm=s_norm, t1=t1, t2=t2,
-                    laplacians=laplacians, lambdas=lam, combined=combined)
+    return SideInfo(q_norm=mnorm(modularity_matrix(g)),
+                    s_norm=mnorm(attribute_cosine(g)), lambdas=lam,
+                    size=g.n + g.m)
 
 
 def regularization_value(X: np.ndarray, T: np.ndarray) -> float:

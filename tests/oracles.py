@@ -1,14 +1,21 @@
 """Independent brute-force implementations used to cross-check the package.
 
-Nothing here may import from semgraph's internals beyond public dataclass
-shapes; every computation is written from the definitions, the slow way,
-so agreement with the fast paths is meaningful.
+Every computation is written from the definitions, the slow way, so
+agreement with the fast paths is meaningful.  `walk_oracle`,
+`motif_enumeration` and `random_connected_graph` are also what
+`semgraph selftest` runs, so they live once, in `semgraph.reference`, and
+are imported from there.  That module imports nothing else from semgraph
+(`tests/test_reference.py` checks this), so it stays as independent of
+the fast paths as the code below.
 """
 
 import itertools
 from collections import Counter
 
 import numpy as np
+
+from semgraph.reference import (  # noqa: F401  (re-exported oracles)
+    motif_enumeration, random_connected_graph, walk_oracle)
 
 
 # ---------------------------------------------------------------- mnorm
@@ -45,26 +52,6 @@ def similarity_oracle(R0):
     return mnorm_oracle(P)
 
 
-def motif_enumeration(R0):
-    """Count actual motif instances: every two-carrier pair on one
-    attribute, every two-attribute pair on one carrier."""
-    R0 = np.asarray(R0)
-    n, m = R0.shape
-    R1 = np.zeros((n, m))
-    R2 = np.zeros((n, m))
-    for w in range(m):
-        carriers = [i for i in range(n) if R0[i, w] > 0]
-        for i, j in itertools.combinations(carriers, 2):
-            R1[i, w] += 1
-            R1[j, w] += 1
-    for i in range(n):
-        carried = [w for w in range(m) if R0[i, w] > 0]
-        for w, s in itertools.combinations(carried, 2):
-            R2[i, w] += 1
-            R2[i, s] += 1
-    return R1, R2
-
-
 def assemble_b(A, R0, deltas, weighted=False):
     """Full block assembly from the definitions."""
     A = np.asarray(A, dtype=float)
@@ -85,29 +72,6 @@ def assemble_b(A, R0, deltas, weighted=False):
     B[n:, :n] = Rt.T
     B[n:, n:] = Pt
     return B
-
-
-# ------------------------------------------------------------ walk matrix
-
-def walk_oracle(B, order, negatives):
-    """Literal power sum: volume * mean of transition powers * D^-1 / b,
-    truncated log."""
-    B = np.asarray(B, dtype=float)
-    size = B.shape[0]
-    d = np.array([B[i].sum() for i in range(size)])
-    vol = d.sum()
-    P = np.diag(1.0 / d) @ B
-    total = np.zeros((size, size))
-    current = np.eye(size)
-    for _ in range(order):
-        current = current @ P
-        total = total + current
-    M = vol * (total / order) @ np.diag(1.0 / d) / negatives
-    Z = np.zeros((size, size))
-    for i in range(size):
-        for j in range(size):
-            Z[i, j] = np.log(M[i, j]) if M[i, j] > 1.0 else 0.0
-    return Z
 
 
 # ------------------------------------------------------------ side info
@@ -225,23 +189,3 @@ def nearest_q_bruteforce(center, vectors, q):
     scored.sort(key=lambda pair: (pair[0], pair[1]))
     return scored[:q]
 
-
-# ----------------------------------------------------- random instances
-
-def random_connected_graph(rng, max_n=8, max_m=5):
-    """(A, R0) with connected topology and fully-carried binary columns."""
-    n = int(rng.integers(2, max_n + 1))
-    m = int(rng.integers(1, max_m + 1))
-    A = np.zeros((n, n))
-    order = rng.permutation(n)
-    for pos in range(1, n):
-        anchor = order[int(rng.integers(pos))]
-        A[order[pos], anchor] = A[anchor, order[pos]] = 1.0
-    for i, j in itertools.combinations(range(n), 2):
-        if rng.random() < 0.3:
-            A[i, j] = A[j, i] = 1.0
-    R0 = (rng.random((n, m)) < 0.4).astype(float)
-    for w in range(m):
-        if R0[:, w].sum() == 0:
-            R0[int(rng.integers(n)), w] = 1.0
-    return A, R0

@@ -128,19 +128,24 @@ class TestEnhance:
         assert ref1.read_bytes() != plain.read_bytes()
 
     def test_matches_library_refinement(self, dataset):
+        """`enhance` runs one refinement round even with both lambdas 0."""
         paths, tmp = dataset
-        out = tmp / "e.tsv"
-        main(["enhance", *_base_argv(paths, labels=False), "--dim", "4",
-              "--lambda1", "0.5", "--lambda2", "2.0", "--out", str(out)])
         g = load_graph(str(paths["edges"]), str(paths["attrs"]))
         walk = walk_matrix(build_hetero_adjacency(g))
-        model = side_enhance(factorize(walk, 4), walk,
-                             build_side_info(g, lambdas=(0.5, 2.0)))
-        model.node_ids = list(g.node_ids)
-        model.attr_ids = list(g.attr_ids)
-        ref = tmp / "lib.tsv"
-        write_embeddings(model, str(ref))
-        assert out.read_bytes() == ref.read_bytes()
+        plain = factorize(walk, 4).vectors
+        for lambdas in ((0.5, 2.0), (0.0, 0.0)):
+            out = tmp / "e.tsv"
+            main(["enhance", *_base_argv(paths, labels=False), "--dim", "4",
+                  "--lambda1", str(lambdas[0]), "--lambda2", str(lambdas[1]),
+                  "--out", str(out)])
+            model = side_enhance(factorize(walk, 4), walk,
+                                 build_side_info(g, lambdas=lambdas))
+            model.node_ids = list(g.node_ids)
+            model.attr_ids = list(g.attr_ids)
+            ref = tmp / "lib.tsv"
+            write_embeddings(model, str(ref))
+            assert out.read_bytes() == ref.read_bytes()
+            assert not np.array_equal(model.vectors, plain)
 
 
 class TestEval:

@@ -159,6 +159,9 @@ class TestBuildHeteroAdjacency:
             assert np.array_equal(B[:n, :n], hetero.adjacency_block)
             assert np.array_equal(B[:n, n:], hetero.relation_block)
             assert np.array_equal(B[n:, n:], hetero.similarity_block)
+            for block in (hetero.adjacency_block, hetero.relation_block,
+                          hetero.similarity_block):
+                assert np.shares_memory(block, B)
             assert B.min() >= 0.0
             assert hetero.relation_block.max() <= 1.0
             assert hetero.similarity_block.max() <= 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -107,6 +108,10 @@ class TestBuildSideInfo:
             assert not T[g.n:, :].any()
         assert side.q_norm.shape == (g.n, g.n)
         assert side.q_norm.min() >= 0.0 and side.q_norm.max() <= 1.0
+        stored = [getattr(side, f.name) for f in dataclasses.fields(side)]
+        arrays = [v for v in stored if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2
+        assert all(a.shape == (g.n, g.n) for a in arrays)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,7 @@
 """Random-walk proximity matrix and its truncated factorization.
 
 The walk matrix is symmetric, so its best rank-k factorization comes from
-the k eigenpairs of largest magnitude (a dense symmetric eigensolver);
-other square inputs fall back to a full SVD.
+the k eigenpairs of largest magnitude (a dense symmetric eigensolver).
 """
 
 from __future__ import annotations
@@ -34,16 +33,13 @@ class EmbeddingModel:
 
     `vectors` (the left factor) is the final embedding; rows 0..n are node
     vectors and rows n..n+m attribute vectors. `context` is the right factor
-    kept for the refinement updates.
+    kept for the refinement updates.  Only what cannot be derived is
+    stored: `dim` and `m` are read off the shape of `vectors`.
     """
 
     vectors: np.ndarray
     context: np.ndarray
-    dim: int
-    order: int
-    negatives: int
     n: int
-    m: int
     node_ids: list[str] = field(default_factory=list)
     attr_ids: list[str] = field(default_factory=list)
 
@@ -52,6 +48,14 @@ class EmbeddingModel:
             self.node_ids = [str(i) for i in range(self.n)]
         if not self.attr_ids:
             self.attr_ids = [str(w) for w in range(self.m)]
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.vectors.shape[0] - self.n
 
     @property
     def node_vectors(self) -> np.ndarray:
@@ -71,7 +75,7 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     count, and applies the truncated logarithm log(max(., 1)) so entries
     below the sampling threshold vanish instead of diverging.  The result
     is symmetric in exact arithmetic; it is symmetrized so it is exactly
-    symmetric in floating point too, which routes it to the eigensolver.
+    symmetric in floating point too, as `factorize` requires.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -99,35 +103,33 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
 
 
 def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
-    """Best rank-`dim` factorization of the walk matrix.
+    """Best rank-`dim` factorization of the exactly symmetric walk matrix.
 
-    An exactly symmetric matrix Q diag(lam) Q^T is factorized by dense
-    `eigh`: the `dim` eigenpairs of largest |lam| give singular values
-    |lam|, left vectors Q and right vectors Q * sign(lam).  Any other
-    square matrix takes a full SVD.  Left and right factors are both
-    scaled by the square root of the kept singular values; column signs
-    are fixed so the largest-magnitude entry of each left singular vector
-    is positive, making output reproducible.
+    Dense `eigh` gives Z = Q diag(lam) Q^T; the `dim` eigenpairs of
+    largest |lam| give singular values |lam|, left vectors Q and right
+    vectors Q * sign(lam).  Left and right factors are both scaled by the
+    square root of the kept singular values; column signs are fixed so
+    the largest-magnitude entry of each left singular vector is positive,
+    making output reproducible.  `eigh` reads only one triangle, so a
+    matrix that is not exactly symmetric is rejected.
     """
     Z = walk.matrix
     size = Z.shape[0]
     if not 1 <= dim <= size:
         raise ValueError(f"dim must be in [1, {size}], got {dim}")
+    if not np.array_equal(Z, Z.T):
+        raise ValueError("walk matrix must be exactly symmetric")
     try:
-        if np.array_equal(Z, Z.T):
-            lam, Q = np.linalg.eigh(Z)
-            keep = np.argsort(-np.abs(lam), kind="stable")[:dim]
-            lam, U = lam[keep], Q[:, keep]
-            s = np.abs(lam)
-            Vt = (U * np.where(lam < 0, -1.0, 1.0)[None, :]).T
-        else:
-            U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-            U, s, Vt = U[:, :dim], s[:dim], Vt[:dim]
+        lam, Q = np.linalg.eigh(Z)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"factorization failed to converge on a {size}x{size} matrix "
             f"(norm {np.linalg.norm(Z):.3e}, "
             f"finite={np.all(np.isfinite(Z))})") from exc
+    keep = np.argsort(-np.abs(lam), kind="stable")[:dim]
+    lam, U = lam[keep], Q[:, keep]
+    s = np.abs(lam)
+    Vt = (U * np.where(lam < 0, -1.0, 1.0)[None, :]).T
 
     anchor = np.argmax(np.abs(U), axis=0)
     signs = np.where(U[anchor, np.arange(dim)] < 0, -1.0, 1.0)
@@ -136,34 +138,21 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
 
     root = np.sqrt(s)
     return EmbeddingModel(vectors=U * root[None, :],
-                          context=Vt.T * root[None, :],
-                          dim=dim, order=walk.order, negatives=walk.negatives,
-                          n=walk.n, m=walk.m)
+                          context=Vt.T * root[None, :], n=walk.n)
 
 
 def embed(g: AttributedGraph, dim: int = 64, order: int = 4,
           negatives: int = 1, deltas=(1.0, 1.0, 1.0),
           weighted_motifs: bool = False, attr_similarity: bool = True,
-          size_cap: int = DENSE_SIZE_CAP,
-          clamp_dim: bool = False) -> EmbeddingModel:
-    """Full pipeline: combined adjacency, walk matrix, factorization.
-
-    With clamp_dim=True a dim exceeding the entity count is lowered to it
-    instead of raising, so small graphs run under default settings.
-    """
+          size_cap: int = DENSE_SIZE_CAP) -> EmbeddingModel:
+    """Full pipeline: combined adjacency, walk matrix, factorization."""
     hetero = build_hetero_adjacency(g, deltas=deltas,
                                     weighted_motifs=weighted_motifs,
                                     attr_similarity=attr_similarity,
                                     size_cap=size_cap)
-    walk = walk_matrix(hetero, order=order, negatives=negatives)
-    size = hetero.n + hetero.m
-    if clamp_dim and dim > size:
-        import logging
-        logging.getLogger(__name__).warning(
-            "embedding dim %d clamped to the %d available entities", dim, size)
-        dim = size
-    model = factorize(walk, dim)
+    model = factorize(walk_matrix(hetero, order=order, negatives=negatives),
+                      dim)
     model.node_ids = list(g.node_ids)
-    model.attr_ids = list(g.attr_ids) if model.m == g.m else \
-        [str(w) for w in range(model.m)]
+    if model.m == g.m:
+        model.attr_ids = list(g.attr_ids)
     return model

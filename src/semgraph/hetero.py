@@ -136,9 +136,8 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
             f"dense construction over {n + m} entities exceeds the size cap "
             f"of {size_cap}; raise size_cap explicitly to proceed")
     if m:
-        sim = (attribute_similarity(g.attr_weights) if attr_similarity
-               else np.zeros((m, m)))
         R0 = _to_dense(g.attr_weights)
+        sim = attribute_similarity(R0) if attr_similarity else np.zeros((m, m))
         R1, R2 = motif_relations(R0, weighted=weighted_motifs)
         rel = combine_relations(R0, R1, R2, deltas)
     else:

@@ -71,21 +71,23 @@ class AttributedGraph:
             raise ValueError("adjacency must be square")
         if len(self.node_ids) != n or len(self.attr_ids) != m:
             raise ValueError("id lists inconsistent with matrix shapes")
-        dense = adj.toarray()
-        if not np.array_equal(dense, dense.T):
+        # Checked on the stored entries only: no n x n array is built.
+        adj = _canonical(adj)
+        if (adj != adj.T).nnz:
             raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(dense) != 0):
+        if np.any(adj.diagonal() != 0):
             raise ValueError("adjacency must have a zero diagonal")
-        if not np.isin(dense, (0.0, 1.0)).all():
+        if not np.isin(adj.data, (0.0, 1.0)).all():
             raise ValueError("adjacency entries must be 0 or 1")
-        weights = self.attr_weights.toarray() if m else np.zeros((n, 0))
-        if not np.all(np.isfinite(weights)):
+        weights = _canonical(self.attr_weights)
+        if not np.all(np.isfinite(weights.data)):
             raise ValueError("attribute weights must be finite")
-        if np.any(weights < 0):
+        if np.any(weights.data < 0):
             raise ValueError("attribute weights must be nonnegative")
-        if m and np.any((weights > 0).sum(axis=0) == 0):
+        positive = weights > 0
+        if m and np.any(positive.sum(axis=0) == 0):
             raise ValueError("attribute column with no positive entry")
-        degree = dense.sum(axis=1) + (weights > 0).sum(axis=1)
+        degree = adj.sum(axis=1) + positive.sum(axis=1)
         if np.any(degree == 0):
             bad = int(np.argmin(degree))
             raise ValueError(
@@ -95,6 +97,13 @@ class AttributedGraph:
                 raise ValueError("labels must cover every node")
             if self.c is None or self.labels.min() < 0 or self.labels.max() >= self.c:
                 raise ValueError("labels must lie in [0, c)")
+
+
+def _canonical(matrix) -> sparse.csr_array:
+    """CSR copy with duplicate entries summed, as `toarray` would."""
+    out = sparse.csr_array(matrix, copy=True)
+    out.sum_duplicates()
+    return out
 
 
 def _read_rows(path, n_fields, optional_last=False):
@@ -158,12 +167,8 @@ def load_graph(edges_path, attrs_path, labels_path=None) -> AttributedGraph:
     n = len(node_index)
     if n == 0:
         raise ValueError("empty graph: no nodes in either input file")
-    node_ids = [None] * n
-    for name, i in node_index.items():
-        node_ids[i] = name
-    attr_ids = [None] * len(attr_index)
-    for name, w in attr_index.items():
-        attr_ids[w] = name
+    node_ids = list(node_index)  # dicts keep insertion order = index order
+    attr_ids = list(attr_index)
 
     u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
     adjacency = sparse.coo_array(
@@ -255,13 +260,13 @@ def write_embeddings(model, path) -> None:
 def read_embeddings(path) -> EmbeddingFile:
     """Read an embedding file, checking header consistency and tag uniqueness."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: malformed header")
-        try:
-            count, dim = int(header[0]), int(header[1])
+        try:  # exactly two integers: a count >= 0 and a dim >= 1
+            count, dim = map(int, fh.readline().split())
+            ok = count >= 0 and dim >= 1
         except ValueError:
-            raise ValueError(f"{path}:1: malformed header") from None
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}:1: malformed header")
         rows: list[tuple[str, np.ndarray]] = []
         seen: set[str] = set()
         for lineno, raw in enumerate(fh, start=2):

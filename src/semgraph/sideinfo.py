@@ -165,18 +165,15 @@ def update_y(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     return Z.T @ X @ np.linalg.pinv(X.T @ X, rcond=_PINV_RCOND)
 
 
-def side_enhance(model: EmbeddingModel, walk: WalkMatrix, side: SideInfo,
-                 iterations: int = 1) -> EmbeddingModel:
-    """Refine a factorization against the regularized objective.
+def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
+                 side: SideInfo) -> EmbeddingModel:
+    """Refine a factorization by one round against the regularized objective.
 
-    Each iteration recomputes X with the current Y by two Cholesky
-    solves (`update_x`), then Y with the fresh X by the exact
-    least-squares update (`update_y`).  One round is the intended use;
-    the objective value is logged before and after each round, with no
-    monotonicity claim.
+    The round recomputes X with the current Y by two Cholesky solves
+    (`update_x`), then Y with the fresh X by the exact least-squares
+    update (`update_y`).  The objective value is logged before and after
+    the round, with no monotonicity claim.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     size = model.vectors.shape[0]
     if walk.matrix.shape[0] != size:
         raise ValueError("walk matrix and model sizes disagree")
@@ -187,13 +184,10 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix, side: SideInfo,
     X, Y = model.vectors, model.context
     log.info("refinement start: objective %.6e",
              objective_value(Z, X, Y, side))
-    for it in range(iterations):
-        X = update_x(Z, Y, side.combined)
-        Y = update_y(Z, X)
-        log.info("refinement round %d: objective %.6e", it + 1,
-                 objective_value(Z, X, Y, side))
-    return EmbeddingModel(vectors=X, context=Y, dim=model.dim,
-                          order=model.order, negatives=model.negatives,
-                          n=model.n, m=model.m,
+    X = update_x(Z, Y, side.combined)
+    Y = update_y(Z, X)
+    log.info("refinement round 1: objective %.6e",
+             objective_value(Z, X, Y, side))
+    return EmbeddingModel(vectors=X, context=Y, n=model.n,
                           node_ids=list(model.node_ids),
                           attr_ids=list(model.attr_ids))

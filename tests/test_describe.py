@@ -17,9 +17,7 @@ def _model(node_vecs, attr_vecs, attr_ids=None):
     attr_vecs = np.asarray(attr_vecs, dtype=float)
     vectors = np.vstack([node_vecs, attr_vecs])
     return EmbeddingModel(vectors=vectors, context=vectors.copy(),
-                          dim=vectors.shape[1], order=1, negatives=1,
-                          n=node_vecs.shape[0], m=attr_vecs.shape[0],
-                          attr_ids=list(attr_ids or []))
+                          n=node_vecs.shape[0], attr_ids=list(attr_ids or []))
 
 
 def _clustering(assignment, centers):

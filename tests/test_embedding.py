@@ -77,6 +77,11 @@ class TestWalkMatrix:
             walk_matrix(_hetero_from_dense(B))
 
 
+def _symmetric(rng, size):
+    Z = rng.normal(size=(size, size))
+    return Z + Z.T
+
+
 def _walk_of(Z):
     size = Z.shape[0]
     return WalkMatrix(matrix=np.asarray(Z, dtype=float), volume=1.0,
@@ -91,7 +96,7 @@ class TestFactorize:
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(3)
-        Z = rng.normal(size=(8, 8))
+        Z = _symmetric(rng, 8)
         model = factorize(_walk_of(Z), 8)
         err = np.linalg.norm(Z - model.vectors @ model.context.T)
         assert err / np.linalg.norm(Z) <= 1e-8
@@ -100,17 +105,18 @@ class TestFactorize:
         rng = np.random.default_rng(4)
         u = rng.normal(size=6)
         u /= np.linalg.norm(u)
-        v = rng.normal(size=6)
-        v /= np.linalg.norm(v)
-        Z = 3.0 * np.outer(u, v)
+        Z = -3.0 * np.outer(u, u)
         model = factorize(_walk_of(Z), 1)
         assert np.linalg.norm(Z - model.vectors @ model.context.T) <= 1e-8
         scale = np.linalg.norm(model.vectors) * np.linalg.norm(model.context)
         assert abs(scale - 3.0) < 1e-8
+        # the negative eigenvalue flips the right factor against the left
+        x, y = model.vectors[:, 0], model.context[:, 0]
+        assert np.allclose(y, -x, atol=1e-12)
 
     def test_eckart_young_every_rank(self):
         rng = np.random.default_rng(5)
-        Z = rng.normal(size=(7, 7))
+        Z = _symmetric(rng, 7)
         s = np.linalg.svd(Z, compute_uv=False)
         last = np.inf
         for k in range(1, 8):
@@ -148,7 +154,7 @@ class TestFactorize:
 
     def test_sign_convention_and_determinism(self):
         rng = np.random.default_rng(7)
-        Z = rng.normal(size=(9, 9))
+        Z = _symmetric(rng, 9)
         a = factorize(_walk_of(Z), 4)
         b = factorize(_walk_of(Z.copy()), 4)
         assert np.array_equal(a.vectors, b.vectors)
@@ -156,6 +162,16 @@ class TestFactorize:
         U = a.vectors / np.sqrt((a.vectors ** 2).sum(axis=0))  # unit columns
         anchor = np.argmax(np.abs(U), axis=0)
         assert np.all(U[anchor, np.arange(4)] > 0)
+
+    def test_non_symmetric_rejected(self):
+        Z = np.arange(9.0).reshape(3, 3)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            factorize(_walk_of(Z), 2)
+        # asymmetry at rounding level is rejected too: eigh reads one triangle
+        Z = np.ones((3, 3))
+        Z[0, 1] += 1e-15
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            factorize(_walk_of(Z), 2)
 
     def test_dim_bounds(self):
         Z = np.zeros((3, 3))
@@ -199,12 +215,7 @@ class TestEmbed:
         assert np.array_equal(embed(g, dim=3).vectors,
                               embed(g, dim=3).vectors)
 
-    def test_clamp_dim(self, caplog):
-        g = self._minimal()
+    def test_clamp_dim(self):
+        # embed does not clamp; the CLI does (tests/test_cli.py)
         with pytest.raises(ValueError):
-            embed(g, dim=64)
-        import logging
-        with caplog.at_level(logging.WARNING, logger="semgraph.embedding"):
-            model = embed(g, dim=64, clamp_dim=True)
-        assert model.dim == 3
-        assert "clamped" in caplog.text
+            embed(self._minimal(), dim=64)

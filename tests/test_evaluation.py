@@ -196,8 +196,7 @@ def _model_from_labels(labels, dim=4, seed=0):
     vectors = base[labels] + rng.normal(scale=0.01,
                                         size=(labels.size, dim))
     return EmbeddingModel(vectors=vectors, context=vectors.copy(),
-                          dim=dim, order=4, negatives=1,
-                          n=labels.size, m=0)
+                          n=labels.size)
 
 
 def _labeled_graph(labels):

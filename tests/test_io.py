@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from semgraph import (AttributedGraph, EmbeddingModel, load_graph,
                       read_embeddings, write_embeddings)
@@ -147,14 +150,42 @@ class TestFromDense:
             AttributedGraph.from_dense(A, np.ones((2, 1)), labels=[0, -1])
 
 
+class TestValidate:
+    def test_path_graph_validates_without_dense_copy(self):
+        n = 4000
+        i = np.arange(n - 1)
+        adjacency = sparse.csr_array(sparse.coo_array(
+            (np.ones(2 * (n - 1)), (np.r_[i, i + 1], np.r_[i + 1, i])),
+            shape=(n, n)))
+        g = AttributedGraph(adjacency=adjacency,
+                            attr_weights=sparse.csr_array((n, 0)),
+                            node_ids=[str(k) for k in range(n)], attr_ids=[])
+        tracemalloc.start()
+        try:
+            g.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense n x n float64 copy alone would be 128 MB
+        assert peak < 16 * 2 ** 20
+
+    def test_duplicate_entries_summed(self):
+        # two stored halves of each edge count as one 0/1 entry
+        adjacency = sparse.csr_array(
+            (np.full(4, 0.5), [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2))
+        assert not adjacency.has_canonical_format
+        g = AttributedGraph(adjacency=adjacency,
+                            attr_weights=sparse.csr_array((2, 0)),
+                            node_ids=["a", "b"], attr_ids=[])
+        g.validate()
+
+
 class TestEmbeddingFiles:
     def _model(self, vectors, node_ids, attr_ids):
-        n, m = len(node_ids), len(attr_ids)
         return EmbeddingModel(vectors=np.asarray(vectors, dtype=float),
                               context=np.zeros_like(vectors, dtype=float),
-                              dim=np.asarray(vectors).shape[1],
-                              order=4, negatives=1, n=n, m=m,
-                              node_ids=node_ids, attr_ids=attr_ids)
+                              n=len(node_ids), node_ids=node_ids,
+                              attr_ids=attr_ids)
 
     def test_format_definition(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -181,6 +212,13 @@ class TestEmbeddingFiles:
         path = tmp_path / "bad.txt"
         path.write_text("2 4\nn:a 0 0 0 0\nn:b 0 0 0 0\nn:c 0 0 0 0\n")
         with pytest.raises(ValueError, match="row"):
+            read_embeddings(str(path))
+
+    @pytest.mark.parametrize("header", ["1 0", "1 -2", "-1 2", "1", "1 2 3"])
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\nn:a 1.0 2.0\n")
+        with pytest.raises(ValueError, match="malformed header"):
             read_embeddings(str(path))
 
     def test_duplicate_tag(self, tmp_path):

@@ -283,16 +283,6 @@ class TestSideEnhance:
         with pytest.raises(ValueError, match="side info"):
             side_enhance(ablated, walk_abl, side)
 
-    def test_iterations_validated(self):
-        _, walk, model, side = self._setup()
-        with pytest.raises(ValueError):
-            side_enhance(model, walk, side, iterations=0)
-
-    def test_multiple_iterations_run(self):
-        _, walk, model, side = self._setup()
-        out = side_enhance(model, walk, side, iterations=3)
-        assert np.all(np.isfinite(out.vectors))
-
     def test_objective_value_includes_penalty(self):
         _, walk, model, side = self._setup()
         Z, X, Y = walk.matrix, model.vectors, model.context

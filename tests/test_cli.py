@@ -288,6 +288,20 @@ class TestFailures:
         assert "size cap" in capsys.readouterr().err
 
 
+class TestImportCost:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """Only the clustering metrics use scipy.optimize; `embed` and
+        `eval-classify` must not pay for importing it."""
+        src = str(Path(semgraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, semgraph.cli; "
+                 "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestSelftestAndParser:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--seed", "2"]) == 0

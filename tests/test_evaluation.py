@@ -1,10 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import oracles
 from semgraph import (AttributedGraph, EmbeddingModel, accuracy, classify,
-                      clustering_accuracy, evaluate, kmeans, macro_f1,
-                      match_clusters, nmi, train_classifier)
+                      clustering_accuracy, embed, evaluate, kmeans, macro_f1,
+                      match_clusters, nmi, planted_attributed_sbm,
+                      train_classifier)
 from semgraph.evaluation import logistic_grad, logistic_loss
 
 
@@ -186,6 +190,72 @@ class TestClassifier:
         clf = train_classifier(X, y)
         pred = classify(clf, np.array([[-1.0], [4.0]]))
         assert pred.tolist() == [5, 9]
+
+    def test_unregularized_separable_terminates_with_warning(self, caplog):
+        """With l2 = 0 separable data has no minimizer: the gradient only
+        tends to 0 as the weights grow, so tol = 0 is never reached.  The
+        solve must still stop, with finite weights, and say so."""
+        rng = np.random.default_rng(8)
+        X = np.vstack([rng.normal(size=(20, 2)) + 5.0,
+                       rng.normal(size=(20, 2)) - 5.0])
+        y = np.repeat([0, 1], 20)
+        with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
+            clf = train_classifier(X, y, l2=0.0, tol=0.0)
+        assert np.all(np.isfinite(clf.weights))
+        assert accuracy(classify(clf, X), y) == 1.0
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "2 of 2" in warnings[0].getMessage()
+
+    def test_unregularized_zero_feature_does_not_break_solve(self):
+        """An all-zero feature with l2 = 0 makes the Hessian exactly
+        singular; training still finishes and separates the classes."""
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(size=(10, 2)) + 4.0,
+                       rng.normal(size=(10, 2)) - 4.0])
+        X[:, 1] = 0.0
+        y = np.repeat([0, 1], 10)
+        clf = train_classifier(X, y, l2=0.0)
+        assert np.all(np.isfinite(clf.weights))
+        assert accuracy(classify(clf, X), y) == 1.0
+
+    def test_planted_converges_without_warning(self, planted, caplog):
+        g, model = planted
+        with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
+            report = evaluate(model, g, task="classification", repeats=3,
+                              train_fraction=0.2, seed=0)
+        assert report.ac > 0.5
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+
+    def test_planted_fit_is_optimal(self, planted):
+        """Each one-vs-rest row meets tol and matches an independent
+        L-BFGS-B minimization of the same loss."""
+        g, model = planted
+        labels = np.asarray(g.labels)
+        train = np.random.default_rng(0).permutation(g.n)[:g.n // 5]
+        assert np.unique(labels[train]).size == 4
+        X = model.node_vectors[train]
+        y = labels[train]
+        tol = 1e-6
+        clf = train_classifier(X, y, tol=tol)
+        Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+        for cls, w in zip(clf.classes, clf.weights):
+            t = (y == cls).astype(float)
+            assert np.linalg.norm(logistic_grad(w, Xa, t, clf.l2)) <= tol
+            ref = minimize(logistic_loss, np.zeros(Xa.shape[1]),
+                           args=(Xa, t, clf.l2), jac=logistic_grad,
+                           method="L-BFGS-B",
+                           options={"maxiter": 100000, "gtol": 1e-12,
+                                    "ftol": 1e-15})
+            assert abs(logistic_loss(w, Xa, t, clf.l2) - ref.fun) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def planted():
+    g = planted_attributed_sbm(nodes=200, blocks=4, intra=0.10, inter=0.02,
+                               attrs_per_block=10, inclusion=0.5, seed=0)
+    return g, embed(g)
 
 
 def _model_from_labels(labels, dim=4, seed=0):

@@ -3,11 +3,13 @@
 Pipeline: an attributed graph becomes one weighted adjacency over nodes
 and attributes (`build_hetero_adjacency`), whose random-walk proximity
 matrix (`walk_matrix`) is symmetric and is factorized at rank k through
-its dense symmetric eigendecomposition (`factorize`, or `embed` for the
-whole chain).  `side_enhance` refines the factors with modularity and
-attribute-similarity regularizers.  `evaluate` scores node vectors by
-clustering or classification, and `describe_direct` / `describe_topics`
-turn communities into ranked attribute keywords.
+its k eigenpairs of largest magnitude (`factorize`, or `embed` for the
+whole chain): by sparse Lanczos when k is a small fraction of its size,
+by a dense symmetric eigensolver otherwise.  `side_enhance` refines the
+factors with modularity and attribute-similarity regularizers.
+`evaluate` scores node vectors by clustering or classification, and
+`describe_direct` / `describe_topics` turn communities into ranked
+attribute keywords.
 """
 
 from .describe import (CommunityDescription, TopicDescription,

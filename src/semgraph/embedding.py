@@ -1,30 +1,45 @@
 """Random-walk proximity matrix and its truncated factorization.
 
-The walk matrix is symmetric, so its best rank-k factorization comes from
-the k eigenpairs of largest magnitude (a dense symmetric eigensolver).
+The walk matrix is built by propagating through the sparse transition
+matrix.  It is symmetric, so its best rank-k factorization comes from the
+k eigenpairs of largest magnitude: implicitly restarted Lanczos (ARPACK)
+on its sparse form when k is a small fraction of its size, a dense
+symmetric eigensolver otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .hetero import DENSE_SIZE_CAP, HeteroAdjacency, build_hetero_adjacency
 from .io import AttributedGraph
 
+# `factorize` uses Lanczos when size >= LANCZOS_MIN_RATIO * dim, dense
+# `eigh` otherwise.  On planted graphs of size 720-3000 at dim 32-128,
+# Lanczos was 1.7x-5.4x faster at every size/dim >= 22.5; at size/dim
+# <= 16.6 it was up to 2.3x slower, or within 0.02 s.
+LANCZOS_MIN_RATIO = 20
+
 
 @dataclass(frozen=True)
 class WalkMatrix:
-    """Log-transformed average of the first `order` walk-transition powers."""
+    """Log-transformed average of the first `order` walk-transition powers.
+
+    `degrees`, `order` and `negatives` are accepted as keywords, for
+    callers written against older versions, but are not stored: nothing
+    reads them back.
+    """
 
     matrix: np.ndarray
     volume: float
-    degrees: np.ndarray
     n: int
     m: int
-    order: int
-    negatives: int
+    degrees: InitVar[object] = None
+    order: InitVar[object] = None
+    negatives: InitVar[object] = None
 
 
 @dataclass
@@ -73,9 +88,12 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     Averages the first `order` powers of the degree-normalized adjacency,
     rescales by graph volume, inverse degrees and the negative-sampling
     count, and applies the truncated logarithm log(max(., 1)) so entries
-    below the sampling threshold vanish instead of diverging.  The result
-    is symmetric in exact arithmetic; it is symmetrized so it is exactly
-    symmetric in floating point too, as `factorize` requires.
+    below the sampling threshold vanish instead of diverging.  Each power
+    is the sparse (CSR) transition matrix times the previous dense power,
+    and the rescaling, truncated log and symmetrization happen in place
+    on one dense accumulator.  The result is symmetric in exact
+    arithmetic; it is symmetrized so it is exactly symmetric in floating
+    point too, as `factorize` requires.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -87,31 +105,37 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
         raise ValueError("every entity must have positive degree")
     volume = float(degrees.sum())
 
-    transition = B / degrees[:, None]
-    power = transition
-    acc = transition.copy()
+    transition = sparse.csr_matrix(B)
+    transition.data /= np.repeat(degrees, np.diff(transition.indptr))
+    acc = transition.toarray()
+    power = acc  # read before acc is first updated
     for _ in range(order - 1):
-        power = power @ transition
+        power = transition @ power
         acc += power
 
-    scaled = (volume / (order * negatives)) * acc / degrees[None, :]
-    Z = np.log(np.maximum(scaled, 1.0))
-    Z = (Z + Z.T) / 2.0  # exact symmetry despite BLAS rounding
-    return WalkMatrix(matrix=Z, volume=volume, degrees=degrees,
-                      n=hetero.n, m=hetero.m, order=order,
-                      negatives=negatives)
+    acc *= volume / (order * negatives)
+    acc /= degrees[None, :]
+    np.maximum(acc, 1.0, out=acc)
+    np.log(acc, out=acc)
+    acc += acc.T  # numpy buffers the overlapping operand; a + b == b + a
+    acc *= 0.5
+    return WalkMatrix(matrix=acc, volume=volume, n=hetero.n, m=hetero.m)
 
 
 def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     """Best rank-`dim` factorization of the exactly symmetric walk matrix.
 
-    Dense `eigh` gives Z = Q diag(lam) Q^T; the `dim` eigenpairs of
-    largest |lam| give singular values |lam|, left vectors Q and right
-    vectors Q * sign(lam).  Left and right factors are both scaled by the
-    square root of the kept singular values; column signs are fixed so
-    the largest-magnitude entry of each left singular vector is positive,
-    making output reproducible.  `eigh` reads only one triangle, so a
-    matrix that is not exactly symmetric is rejected.
+    With Z = Q diag(lam) Q^T, the `dim` eigenpairs of largest |lam| give
+    singular values |lam|, left vectors Q and right vectors Q * sign(lam).
+    When the matrix is at least LANCZOS_MIN_RATIO times larger than
+    `dim`, only those pairs are computed, by implicitly restarted Lanczos
+    (ARPACK `eigsh`) on the sparse (CSR) matrix from a fixed-seed start
+    vector; otherwise dense `eigh` computes all pairs.  Both give the
+    same factors to rounding.  Left and right factors are both scaled by
+    the square root of the kept singular values; column signs are fixed
+    so the largest-magnitude entry of each left singular vector is
+    positive, making output reproducible.  `eigh` reads only one
+    triangle, so a matrix that is not exactly symmetric is rejected.
     """
     Z = walk.matrix
     size = Z.shape[0]
@@ -119,13 +143,10 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
         raise ValueError(f"dim must be in [1, {size}], got {dim}")
     if not np.array_equal(Z, Z.T):
         raise ValueError("walk matrix must be exactly symmetric")
-    try:
-        lam, Q = np.linalg.eigh(Z)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"factorization failed to converge on a {size}x{size} matrix "
-            f"(norm {np.linalg.norm(Z):.3e}, "
-            f"finite={np.all(np.isfinite(Z))})") from exc
+    if size >= LANCZOS_MIN_RATIO * dim:
+        lam, Q = _lanczos_pairs(Z, dim)
+    else:
+        lam, Q = _dense_pairs(Z)
     keep = np.argsort(-np.abs(lam), kind="stable")[:dim]
     lam, U = lam[keep], Q[:, keep]
     s = np.abs(lam)
@@ -139,6 +160,36 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     root = np.sqrt(s)
     return EmbeddingModel(vectors=U * root[None, :],
                           context=Vt.T * root[None, :], n=walk.n)
+
+
+def _dense_pairs(Z):
+    """All eigenpairs of Z, by dense `eigh`."""
+    try:
+        return np.linalg.eigh(Z)
+    except np.linalg.LinAlgError as exc:
+        raise _not_converged(Z) from exc
+
+
+def _lanczos_pairs(Z, dim):
+    """The `dim` eigenpairs of Z of largest magnitude, by ARPACK on CSR."""
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
+    size = Z.shape[0]
+    csr = sparse.csr_matrix(Z)
+    if csr.nnz == 0:  # ARPACK rejects a start vector that Z maps to zero
+        return np.zeros(dim), np.eye(size, dim)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, size)
+    try:
+        return eigsh(csr, k=dim, which="LM", v0=v0)
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise _not_converged(Z) from exc
+
+
+def _not_converged(Z):
+    size = Z.shape[0]
+    return np.linalg.LinAlgError(
+        f"factorization failed to converge on a {size}x{size} matrix "
+        f"(norm {np.linalg.norm(Z):.3e}, finite={np.all(np.isfinite(Z))})")
 
 
 def embed(g: AttributedGraph, dim: int = 64, order: int = 4,

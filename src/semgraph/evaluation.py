@@ -60,7 +60,9 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
 
     Empty clusters are repaired by stealing the point farthest from its
     center out of the currently largest cluster, so every restart returns
-    exactly k non-empty clusters.
+    exactly k non-empty clusters.  A restart whose assignment still
+    changes after max_iter iterations keeps its last state; one warning
+    is logged with the count of such restarts.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -73,6 +75,7 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
 
     rng = np.random.default_rng(seed)
     best = None
+    unconverged = 0
     for _ in range(restarts):
         centers = _pp_centers(points, k, rng)
         assignment = None
@@ -94,11 +97,17 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
             assignment = new_assignment
             for j in range(k):
                 centers[j] = points[assignment == j].mean(axis=0)
+        else:
+            unconverged += 1
         inertia = float(_sqdist(points, centers)[np.arange(N),
                                                  assignment].sum())
         if best is None or inertia < best.inertia:
             best = Clustering(assignment=assignment.copy(), k=k,
                               centers=centers.copy(), inertia=inertia)
+    if unconverged:
+        log.warning("kmeans: %d of %d restarts stopped at max_iter=%d "
+                    "before the assignment settled", unconverged, restarts,
+                    max_iter)
     return best
 
 

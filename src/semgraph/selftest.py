@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import reference
-from .embedding import factorize, walk_matrix
+from .embedding import LANCZOS_MIN_RATIO, WalkMatrix, factorize, walk_matrix
 from .evaluation import classify, clustering_accuracy, nmi, train_classifier
 from .hetero import build_hetero_adjacency, motif_relations
 from .io import AttributedGraph
@@ -49,23 +49,30 @@ def _check_motifs(rng, rounds):
 
 
 def _check_factorization(rng, rounds):
-    """Eckart-Young tail norms at every rank, on random symmetric matrices
-    like the walk matrix; their singular values are the |eigenvalues|."""
-    from .embedding import WalkMatrix
+    """Eckart-Young tail norms on random symmetric matrices like the walk
+    matrix; their singular values are the |eigenvalues|.  Every rank of
+    small matrices, which take the dense solver, then one rank of a
+    larger, mostly zero one, which takes the Lanczos solver."""
     worst = 0.0
     for _ in range(rounds):
         size = int(rng.integers(2, 10))
         Z = rng.normal(size=(size, size))
         target = (Z + Z.T) / 2.0
-        walk = WalkMatrix(matrix=target, volume=1.0, degrees=np.ones(size),
-                          n=size, m=0, order=1, negatives=1)
-        s = np.sort(np.abs(np.linalg.eigvalsh(target)))[::-1]
         for k in range(1, size + 1):
-            model = factorize(walk, k)
-            resid = np.linalg.norm(target - model.vectors @ model.context.T)
-            tail = float(np.sqrt((s[k:] ** 2).sum()))
-            worst = max(worst, abs(resid - tail))
-    return worst, 1e-8
+            worst = max(worst, _tail_gap(target, k))
+    k = 8
+    size = LANCZOS_MIN_RATIO * k
+    Z = rng.normal(size=(size, size)) * (rng.random((size, size)) < 0.15)
+    return max(worst, _tail_gap((Z + Z.T) / 2.0, k)), 1e-8
+
+
+def _tail_gap(target, k):
+    """|rank-k residual of `factorize` - tail norm from `eigvalsh`|."""
+    size = target.shape[0]
+    model = factorize(WalkMatrix(matrix=target, volume=1.0, n=size, m=0), k)
+    s = np.sort(np.abs(np.linalg.eigvalsh(target)))[::-1]
+    resid = np.linalg.norm(target - model.vectors @ model.context.T)
+    return abs(resid - float(np.sqrt((s[k:] ** 2).sum())))
 
 
 def _check_metrics(rng, rounds):

@@ -289,17 +289,25 @@ class TestFailures:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        """Only the clustering metrics use scipy.optimize; `embed` and
-        `eval-classify` must not pay for importing it."""
+    @staticmethod
+    def _loaded_after_cli_import(module):
         src = str(Path(semgraph.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = ("import sys, semgraph.cli; "
-                 "print('scipy.optimize' in sys.modules)")
+        probe = f"import sys, semgraph.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              check=True, capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """Only the clustering metrics use scipy.optimize; `embed` and
+        `eval-classify` must not pay for importing it."""
+        assert self._loaded_after_cli_import("scipy.optimize") == "False"
+
+    def test_cli_import_leaves_scipy_sparse_linalg_unloaded(self):
+        """Only the Lanczos branch of `factorize` uses scipy.sparse.linalg;
+        runs that take dense `eigh` must not pay for importing it."""
+        assert self._loaded_after_cli_import("scipy.sparse.linalg") == "False"
 
 
 class TestSelftestAndParser:

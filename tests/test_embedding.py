@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import oracles
 from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
                       embed, factorize, planted_attributed_sbm, walk_matrix)
+from semgraph.cli import main
+from semgraph.embedding import LANCZOS_MIN_RATIO
 
 
 def _hetero_from_dense(B):
@@ -83,10 +86,27 @@ def _symmetric(rng, size):
 
 
 def _walk_of(Z):
-    size = Z.shape[0]
     return WalkMatrix(matrix=np.asarray(Z, dtype=float), volume=1.0,
-                      degrees=np.ones(size), n=size, m=0, order=1,
-                      negatives=1)
+                      n=Z.shape[0], m=0)
+
+
+def _check_planted_matches_svd(nodes, dim):
+    """factorize on a planted walk matrix against np.linalg.svd, 1e-10
+    relative; returns the matrix size."""
+    g = planted_attributed_sbm(nodes=nodes, blocks=3, seed=0)
+    walk = walk_matrix(build_hetero_adjacency(g))
+    Z = walk.matrix
+    U, s, Vt = np.linalg.svd(Z)
+    # a gap after the kept values makes the truncation unique
+    assert s[dim - 1] - s[dim] > 1e-6 * s[0]
+    model = factorize(walk, dim)
+    got = (np.linalg.norm(model.vectors, axis=0)
+           * np.linalg.norm(model.context, axis=0))
+    assert np.all(np.abs(got - s[:dim]) <= 1e-10 * s[:dim])
+    truncated = (U[:, :dim] * s[:dim]) @ Vt[:dim]
+    err = np.linalg.norm(model.vectors @ model.context.T - truncated)
+    assert err <= 1e-10 * np.linalg.norm(truncated)
+    return Z.shape[0]
 
 
 class TestFactorize:
@@ -137,20 +157,7 @@ class TestFactorize:
         assert gap <= 1e-6
 
     def test_planted_walk_matches_svd(self):
-        dim = 64
-        g = planted_attributed_sbm(nodes=120, blocks=3, seed=0)
-        walk = walk_matrix(build_hetero_adjacency(g))
-        Z = walk.matrix
-        U, s, Vt = np.linalg.svd(Z)
-        # a gap after the kept values makes the truncation unique
-        assert s[dim - 1] - s[dim] > 1e-6 * s[0]
-        model = factorize(walk, dim)
-        got = (np.linalg.norm(model.vectors, axis=0)
-               * np.linalg.norm(model.context, axis=0))
-        assert np.all(np.abs(got - s[:dim]) <= 1e-10 * s[:dim])
-        truncated = (U[:, :dim] * s[:dim]) @ Vt[:dim]
-        err = np.linalg.norm(model.vectors @ model.context.T - truncated)
-        assert err <= 1e-10 * np.linalg.norm(truncated)
+        _check_planted_matches_svd(nodes=120, dim=64)
 
     def test_sign_convention_and_determinism(self):
         rng = np.random.default_rng(7)
@@ -179,6 +186,57 @@ class TestFactorize:
             factorize(_walk_of(Z), 0)
         with pytest.raises(ValueError):
             factorize(_walk_of(Z), 4)
+
+
+class TestLanczosFactorize:
+    """`factorize` at sizes >= LANCZOS_MIN_RATIO * dim, which take the
+    truncated (ARPACK) solver instead of dense `eigh`."""
+
+    def test_planted_walk_matches_svd(self):
+        size = _check_planted_matches_svd(nodes=300, dim=16)
+        assert size >= LANCZOS_MIN_RATIO * 16
+
+    def test_rank_two_reconstructs_exactly(self):
+        rng = np.random.default_rng(9)
+        dim = 8
+        size = LANCZOS_MIN_RATIO * dim
+        u, v = np.linalg.qr(rng.normal(size=(size, 2)))[0].T
+        Z = 5.0 * np.outer(u, u) - 2.0 * np.outer(v, v)
+        model = factorize(_walk_of(Z), dim)
+        err = np.linalg.norm(Z - model.vectors @ model.context.T)
+        assert err <= 1e-12 * np.linalg.norm(Z)
+        scales = (np.linalg.norm(model.vectors, axis=0)
+                  * np.linalg.norm(model.context, axis=0))
+        assert np.allclose(scales[:2], [5.0, 2.0], atol=1e-12)
+        assert np.all(scales[2:] <= 1e-12)
+
+    def test_zero_matrix(self):
+        model = factorize(_walk_of(np.zeros((400, 400))), 8)
+        assert model.vectors.shape == (400, 8)
+        assert not model.vectors.any() and not model.context.any()
+
+    @pytest.mark.parametrize("error", [
+        scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], []),
+        scipy.sparse.linalg.ArpackError(-9999)])
+    def test_solver_failure_is_one_cli_error_line(self, error, tmp_path,
+                                                  monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
+        A, R = g.adjacency.tocoo(), g.attr_weights.tocoo()
+        edges, attrs = tmp_path / "edges.tsv", tmp_path / "attrs.tsv"
+        edges.write_text("".join(f"{g.node_ids[i]}\t{g.node_ids[j]}\n"
+                                 for i, j in zip(A.row, A.col) if i < j))
+        attrs.write_text("".join(f"{g.node_ids[i]}\t{g.attr_ids[w]}\n"
+                                 for i, w in zip(R.row, R.col)))
+        code = main(["embed", "--edges", str(edges), "--attrs", str(attrs),
+                     "--dim", "4", "--out", str(tmp_path / "emb.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\t") and err.count("\n") == 1
+        assert "factorization failed to converge" in err
 
 
 class TestEmbed:

@@ -37,6 +37,20 @@ class TestKmeans:
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.centers, b.centers)
 
+    def test_iteration_cap_warns_once_and_keeps_result(self, caplog):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(40, 3))
+        with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
+            full = kmeans(pts, 4, seed=9)
+        assert not caplog.records
+        with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
+            capped = kmeans(pts, 4, seed=9, max_iter=1)
+        assert len(caplog.records) == 1
+        assert "10 of 10 restarts" in caplog.records[0].getMessage()
+        # one Lloyd step from the same seeding: a valid, worse clustering
+        assert np.array_equal(np.unique(capped.assignment), np.arange(4))
+        assert capped.inertia >= full.inertia
+
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(30, 2))

@@ -266,9 +266,7 @@ class TestSideEnhance:
 
     def test_shape_mismatch_rejected(self):
         g, walk, model, side = self._setup()
-        small = WalkMatrix(matrix=np.eye(2), volume=1.0,
-                           degrees=np.ones(2), n=2, m=0, order=1,
-                           negatives=1)
+        small = WalkMatrix(matrix=np.eye(2), volume=1.0, n=2, m=0)
         with pytest.raises(ValueError, match="sizes disagree"):
             side_enhance(model, small, side)
         # an ablated model+walk pair covers only the n nodes, while the

@@ -1,10 +1,10 @@
 """Random-walk proximity matrix and its truncated factorization.
 
-The walk matrix is built by propagating through the sparse transition
-matrix.  It is symmetric, so its best rank-k factorization comes from the
-k eigenpairs of largest magnitude: implicitly restarted Lanczos (ARPACK)
-on its sparse form when k is a small fraction of its size, a dense
-symmetric eigensolver otherwise.
+The walk matrix is built by propagating column blocks through the sparse
+transition matrix.  It is symmetric, so its best rank-k factorization
+comes from the k eigenpairs of largest magnitude: implicitly restarted
+Lanczos (ARPACK) on its sparse form when k is a small fraction of its
+size, a dense symmetric eigensolver otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +22,13 @@ from .io import AttributedGraph
 # Lanczos was 1.7x-5.4x faster at every size/dim >= 22.5; at size/dim
 # <= 16.6 it was up to 2.3x slower, or within 0.02 s.
 LANCZOS_MIN_RATIO = 20
+
+# Width of the column blocks `walk_matrix` propagates and of the tiles it
+# symmetrizes.  Z does not depend on it.  On planted graphs of size
+# 720-3000, widths 64 and 128 were fastest and 16 or 512 up to 1.7x
+# slower (grid in CHANGES.md); 64 keeps the three N-by-width buffers
+# smaller.
+WALK_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -88,12 +95,17 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     Averages the first `order` powers of the degree-normalized adjacency,
     rescales by graph volume, inverse degrees and the negative-sampling
     count, and applies the truncated logarithm log(max(., 1)) so entries
-    below the sampling threshold vanish instead of diverging.  Each power
-    is the sparse (CSR) transition matrix times the previous dense power,
-    and the rescaling, truncated log and symmetrization happen in place
-    on one dense accumulator.  The result is symmetric in exact
-    arithmetic; it is symmetrized so it is exactly symmetric in floating
-    point too, as `factorize` requires.
+    below the sampling threshold vanish instead of diverging.
+
+    The powers are propagated over column blocks of WALK_BLOCK columns:
+    each power of a block is the sparse (CSR) transition matrix times the
+    previous dense power of that block.  Each block is rescaled, truncated
+    and logged on its own and written transposed into the one N-by-N
+    result, so no other N-by-N array is made.  The result is symmetric
+    in exact arithmetic; it is symmetrized tile by tile in place, so it
+    is exactly symmetric in floating point too, as `factorize` requires.
+    Every entry goes through the same operations whatever the block
+    width, so the result does not depend on it.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -107,19 +119,40 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
 
     transition = sparse.csr_matrix(B)
     transition.data /= np.repeat(degrees, np.diff(transition.indptr))
-    acc = transition.toarray()
-    power = acc  # read before acc is first updated
-    for _ in range(order - 1):
-        power = transition @ power
-        acc += power
+    scale = volume / (order * negatives)
+    size = B.shape[0]
+    Z = np.empty((size, size))
+    for start in range(0, size, WALK_BLOCK):
+        cols = slice(start, start + WALK_BLOCK)
+        acc = B[:, cols] / degrees[:, None]  # the dense columns of P
+        power = acc  # read before acc is first updated
+        for _ in range(order - 1):
+            power = transition @ power
+            acc += power
+        acc *= scale
+        acc /= degrees[None, cols]
+        np.maximum(acc, 1.0, out=acc)
+        np.log(acc, out=acc)
+        Z[cols] = acc.T
+    _symmetrize(Z)
+    return WalkMatrix(matrix=Z, volume=volume, n=hetero.n, m=hetero.m)
 
-    acc *= volume / (order * negatives)
-    acc /= degrees[None, :]
-    np.maximum(acc, 1.0, out=acc)
-    np.log(acc, out=acc)
-    acc += acc.T  # numpy buffers the overlapping operand; a + b == b + a
-    acc *= 0.5
-    return WalkMatrix(matrix=acc, volume=volume, n=hetero.n, m=hetero.m)
+
+def _symmetrize(Z):
+    """Replace Z by (Z + Z^T) / 2 in place, one pair of tiles at a time.
+
+    Both tiles of a pair receive the same values, since a + b == b + a in
+    floating point, so the result is exactly symmetric.
+    """
+    size = Z.shape[0]
+    for start in range(0, size, WALK_BLOCK):
+        rows = slice(start, start + WALK_BLOCK)
+        for other in range(start, size, WALK_BLOCK):
+            cols = slice(other, other + WALK_BLOCK)
+            tile = Z[rows, cols] + Z[cols, rows].T
+            tile *= 0.5
+            Z[rows, cols] = tile
+            Z[cols, rows] = tile.T
 
 
 def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:

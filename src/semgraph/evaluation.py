@@ -47,8 +47,9 @@ def _pp_centers(points, k, rng):
     return centers
 
 
-def _sqdist(points, centers):
-    d2 = (points ** 2).sum(axis=1)[:, None] \
+def _sqdist(points, centers, sq_norms):
+    """Squared distances; sq_norms is (points ** 2).sum(axis=1)."""
+    d2 = sq_norms[:, None] \
         - 2.0 * points @ centers.T \
         + (centers ** 2).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0)
@@ -73,6 +74,7 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
     if not 1 <= k <= N:
         raise ValueError(f"k must be in [1, {N}], got {k}")
 
+    sq_norms = (points ** 2).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
     unconverged = 0
@@ -80,7 +82,7 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
         centers = _pp_centers(points, k, rng)
         assignment = None
         for _ in range(max_iter):
-            d2 = _sqdist(points, centers)
+            d2 = _sqdist(points, centers, sq_norms)
             new_assignment = np.argmin(d2, axis=1)
             counts = np.bincount(new_assignment, minlength=k)
             while (counts == 0).any():
@@ -99,8 +101,8 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
                 centers[j] = points[assignment == j].mean(axis=0)
         else:
             unconverged += 1
-        inertia = float(_sqdist(points, centers)[np.arange(N),
-                                                 assignment].sum())
+        d2 = _sqdist(points, centers, sq_norms)
+        inertia = float(d2[np.arange(N), assignment].sum())
         if best is None or inertia < best.inertia:
             best = Clustering(assignment=assignment.copy(), k=k,
                               centers=centers.copy(), inertia=inertia)

@@ -24,15 +24,22 @@ def mnorm(matrix) -> np.ndarray:
     A constant matrix (max == min) maps to all zeros: a constant block
     carries no relational signal.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    return _mnorm_in_place(np.array(matrix, dtype=float))
+
+
+def _mnorm_in_place(matrix: np.ndarray) -> np.ndarray:
+    """`mnorm` that overwrites and returns its own float array."""
     if matrix.size == 0:
-        return matrix.copy()
+        return matrix
     if not np.all(np.isfinite(matrix)):
         raise ValueError("mnorm input must be finite")
     lo, hi = matrix.min(), matrix.max()
     if hi == lo:
-        return np.zeros_like(matrix)
-    return (matrix - lo) / (hi - lo)
+        matrix.fill(0.0)
+    else:
+        matrix -= lo
+        matrix /= hi - lo
+    return matrix
 
 
 def attribute_similarity(attr_weights) -> np.ndarray:
@@ -79,14 +86,20 @@ def combine_relations(R0, R1, R2, deltas) -> np.ndarray:
     """Blend the three relation matrices into one normalized block.
 
     Each input is mnorm-ed individually, combined with the delta weights,
-    and the combination is mnorm-ed again.
+    and the combination is mnorm-ed again.  The weighted parts are summed
+    in place, one at a time.
     """
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) != 3 or any(d < 0 for d in deltas):
         raise ValueError("deltas must be three nonnegative reals")
-    parts = [mnorm(_to_dense(R)) for R in (R0, R1, R2)]
-    combined = sum(d * part for d, part in zip(deltas, parts))
-    return mnorm(combined)
+    combined = mnorm(_to_dense(R0))
+    combined *= deltas[0]
+    for d, R in zip(deltas[1:], (R1, R2)):
+        part = mnorm(_to_dense(R))
+        part *= d
+        combined += part
+        del part  # freed before the next part is made
+    return _mnorm_in_place(combined)
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,10 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
     (attribute entities are dropped entirely in that case). Entities left
     without any relation are rejected because the downstream random walk
     divides by entity degrees.
+
+    B is the only (n+m)-square array made: the dense n-by-m relation
+    inputs are released before it is allocated, and the topology block
+    is filled from the adjacency's stored entries.
     """
     n, m = g.n, g.m
     if n + m > size_cap:
@@ -140,6 +157,7 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
         sim = attribute_similarity(R0) if attr_similarity else np.zeros((m, m))
         R1, R2 = motif_relations(R0, weighted=weighted_motifs)
         rel = combine_relations(R0, R1, R2, deltas)
+        del R0, R1, R2
     else:
         sim = np.zeros((0, 0))
         rel = np.zeros((n, 0))
@@ -152,7 +170,9 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
         rel = np.zeros((n, 0))
 
     B = np.zeros((n + m, n + m))
-    B[:n, :n] = g.adjacency.toarray()
+    adjacency = sparse.coo_array(g.adjacency, copy=True)
+    adjacency.sum_duplicates()  # as `toarray` would
+    B[adjacency.row, adjacency.col] = adjacency.data
     B[:n, n:] = rel
     B[n:, :n] = rel.T
     B[n:, n:] = sim
@@ -169,5 +189,5 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
 
 def _to_dense(matrix) -> np.ndarray:
     if sparse.issparse(matrix):
-        return matrix.toarray().astype(float)
+        return matrix.toarray().astype(float, copy=False)
     return np.asarray(matrix, dtype=float)

@@ -250,11 +250,11 @@ def write_embeddings(model, path) -> None:
     tags += [f"a:{name}" for name in model.attr_ids]
     if len(tags) != vectors.shape[0]:
         raise ValueError("model ids inconsistent with vector count")
+    row_format = " ".join(["%.17g"] * vectors.shape[1])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{vectors.shape[0]} {vectors.shape[1]}\n")
-        for tag, row in zip(tags, vectors):
-            values = " ".join(f"{float(v):.17g}" for v in row)
-            fh.write(f"{tag} {values}\n")
+        for tag, row in zip(tags, vectors.tolist()):
+            fh.write(f"{tag} {row_format % tuple(row)}\n")
 
 
 def read_embeddings(path) -> EmbeddingFile:

@@ -1,9 +1,9 @@
 """Side-information regularizers and the refinement updates they drive.
 
 Two pairwise-similarity sources — a modularity matrix from node topology
-and a cosine similarity over attribute usage rows — are normalized,
-padded to cover all embedded entities, and turned into graph Laplacians.
-Their weighted sum enters a ridge-like objective whose alternating
+and a cosine similarity over attribute usage rows — are normalized and
+turned into graph Laplacians over the nodes; attribute entities feel no
+pull.  Their weighted sum enters a ridge-like objective whose alternating
 updates have closed forms.
 """
 
@@ -28,11 +28,16 @@ _PINV_RCOND = 1e-12
 class SideInfo:
     """The two normalized n-by-n similarity sources and their weights.
 
-    Only q_norm and s_norm are stored.  t1 / t2 pad them with zero rows
-    and columns up to all `size` = n+m entities, so attribute vectors
-    feel no pull; laplacians are the Laplacians of t1 and t2, and
-    combined = lambda1*L1 + lambda2*L2.  These are derived on each
-    access, as size-by-size arrays.
+    Only q_norm and s_norm are stored.  The refinement works on the n
+    node rows only: `node_laplacian` is
+    lambda1*L(q_norm) + lambda2*L(s_norm), an n-by-n array.
+
+    t1 / t2 pad the sources with zero rows and columns up to all
+    `size` = n+m entities, laplacians are the Laplacians of t1 and t2,
+    and combined = lambda1*L1 + lambda2*L2, zero outside its leading
+    n-by-n block, which equals `node_laplacian` to rounding.  These are
+    derived on each access, as size-by-size arrays, for callers that
+    want the padded form; the refinement itself never builds them.
     """
 
     q_norm: np.ndarray
@@ -56,6 +61,14 @@ class SideInfo:
     def combined(self) -> np.ndarray:
         L1, L2 = self.laplacians
         return self.lambdas[0] * L1 + self.lambdas[1] * L2
+
+    @property
+    def node_laplacian(self) -> np.ndarray:
+        lam1, lam2 = self.lambdas
+        L = self.q_norm * -lam1
+        L -= self.s_norm * lam2
+        L[np.diag_indices_from(L)] -= L.sum(axis=1)
+        return L
 
 
 def modularity_matrix(g: AttributedGraph) -> np.ndarray:
@@ -120,12 +133,21 @@ def regularization_value(X: np.ndarray, T: np.ndarray) -> float:
 
 def objective_value(Z: np.ndarray, X: np.ndarray, Y: np.ndarray,
                     side: SideInfo | None = None) -> float:
-    """Squared reconstruction error plus the weighted Laplacian penalties."""
-    value = float(np.linalg.norm(Z - X @ Y.T, "fro") ** 2)
+    """Squared reconstruction error plus the weighted Laplacian penalties.
+
+    The residual Z - X Y^T is formed in one size-by-size buffer.  The
+    sources cover the n node rows only, so each penalty is taken on
+    X[:n] with the n-by-n source, not on X with its zero-padded form.
+    """
+    residual = X @ Y.T
+    np.subtract(Z, residual, out=residual)
+    value = float(np.linalg.norm(residual, "fro") ** 2)
+    del residual  # freed before the penalties build their Laplacians
     if side is not None:
-        for lam, T in zip(side.lambdas, (side.t1, side.t2)):
+        nodes = X[:side.q_norm.shape[0]]
+        for lam, T in zip(side.lambdas, (side.q_norm, side.s_norm)):
             if lam:
-                value += lam * regularization_value(X, T)
+                value += lam * regularization_value(nodes, T)
     return value
 
 
@@ -148,13 +170,28 @@ def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
     symmetric positive definite with smallest eigenvalue at least 1; each
     is applied by a Cholesky solve instead of an explicit inverse.  An
     I + L that is not positive definite raises LinAlgError.
+
+    L may cover only the leading p <= size rows and columns: it then
+    stands for L padded with zeros, and I + L is block diagonal with an
+    identity block.  Only I_p + L is factored; rows p: of the first solve
+    are just (Z Y)[p:].
     """
     for name, M in (("Z", Z), ("Y", Y), ("L", L)):
         if not np.all(np.isfinite(M)):
             raise ValueError(f"{name} contains non-finite entries")
     size = Z.shape[0]
+    p = L.shape[0]
+    if L.shape != (p, p) or p > size:
+        raise ValueError(f"L must be square and cover at most {size} rows, "
+                         f"got shape {L.shape}")
     k = Y.shape[1]
-    left = cho_solve(cho_factor(np.eye(size) + L), Z @ Y)
+    system = np.eye(p)
+    system += L
+    # The transpose of the C-ordered system is Fortran-ordered, so LAPACK
+    # factors it in place; its lower triangle is the upper one of I + L.
+    factor = cho_factor(system.T, lower=True, overwrite_a=True)
+    left = Z @ Y
+    left[:p] = cho_solve(factor, left[:p])
     return cho_solve(cho_factor(Y.T @ Y + np.eye(k)), left.T).T
 
 
@@ -170,9 +207,10 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
     """Refine a factorization by one round against the regularized objective.
 
     The round recomputes X with the current Y by two Cholesky solves
-    (`update_x`), then Y with the fresh X by the exact least-squares
-    update (`update_y`).  The objective value is logged before and after
-    the round, with no monotonicity claim.
+    (`update_x`, given the n-by-n `side.node_laplacian`, since the
+    penalties act on node rows only), then Y with the fresh X by the
+    exact least-squares update (`update_y`).  The objective value is
+    logged before and after the round, with no monotonicity claim.
     """
     size = model.vectors.shape[0]
     if walk.matrix.shape[0] != size:
@@ -184,7 +222,7 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
     X, Y = model.vectors, model.context
     log.info("refinement start: objective %.6e",
              objective_value(Z, X, Y, side))
-    X = update_x(Z, Y, side.combined)
+    X = update_x(Z, Y, side.node_laplacian)
     Y = update_y(Z, X)
     log.info("refinement round 1: objective %.6e",
              objective_value(Z, X, Y, side))

@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 import oracles
 from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
                       embed, factorize, planted_attributed_sbm, walk_matrix)
+from semgraph import embedding
 from semgraph.cli import main
 from semgraph.embedding import LANCZOS_MIN_RATIO
 
@@ -66,6 +67,19 @@ class TestWalkMatrix:
             ref = oracles.walk_oracle(hetero.matrix, order, 1)
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(ours - ref).max() / scale < 1e-10
+
+    def test_block_width_leaves_result_unchanged(self, monkeypatch):
+        g = planted_attributed_sbm(nodes=100, blocks=4, attrs_per_block=12,
+                                   inclusion=0.3, seed=3)
+        hetero = build_hetero_adjacency(g)
+        size = hetero.matrix.shape[0]
+        assert size % embedding.WALK_BLOCK  # a partial edge tile
+        ref = walk_matrix(hetero, order=3).matrix
+        for block in (1, 7, size + 1):
+            monkeypatch.setattr(embedding, "WALK_BLOCK", block)
+            Z = walk_matrix(hetero, order=3).matrix
+            assert np.array_equal(Z, ref)
+            assert np.array_equal(Z, Z.T)
 
     def test_parameter_validation(self):
         B = np.array([[0.0, 1.0], [1.0, 0.0]])

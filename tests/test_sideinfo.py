@@ -188,6 +188,26 @@ class TestUpdates:
             ref = oracles.regularized_x_oracle(Z, Y, L)
             assert np.abs(ours - ref).max() <= 1e-10
 
+    def test_update_x_node_block_laplacian(self):
+        rng = np.random.default_rng(12)
+        size, n, k = 11, 7, 3
+        for _ in range(10):
+            Z = rng.normal(size=(size, size))
+            Y = rng.normal(size=(size, k))
+            T = rng.random((n, n))
+            T = (T + T.T) / 2
+            L = np.diag(T.sum(axis=1)) - T
+            padded = np.zeros((size, size))
+            padded[:n, :n] = L
+            ours = update_x(Z, Y, L)
+            assert np.abs(ours - update_x(Z, Y, padded)).max() <= 1e-12
+            attrs = (Z @ Y)[n:] @ np.linalg.inv(Y.T @ Y + np.eye(k))
+            assert np.abs(ours[n:] - attrs).max() <= 1e-12
+        with pytest.raises(ValueError, match="L must"):
+            update_x(Z, Y, np.zeros((size + 1, size + 1)))
+        with pytest.raises(ValueError, match="L must"):
+            update_x(Z, Y, np.zeros((n, n + 1)))
+
     def test_exact_least_squares_variant(self):
         rng = np.random.default_rng(10)
         Z = rng.normal(size=(6, 6))

@@ -9,12 +9,13 @@ size, a dense symmetric eigensolver otherwise.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from .hetero import DENSE_SIZE_CAP, HeteroAdjacency, build_hetero_adjacency
+from .hetero import (DENSE_SIZE_CAP, HeteroAdjacency, _symmetrize,
+                     build_hetero_adjacency)
 from .io import AttributedGraph
 
 # `factorize` uses Lanczos when size >= LANCZOS_MIN_RATIO * dim, dense
@@ -23,30 +24,21 @@ from .io import AttributedGraph
 # <= 16.6 it was up to 2.3x slower, or within 0.02 s.
 LANCZOS_MIN_RATIO = 20
 
-# Width of the column blocks `walk_matrix` propagates and of the tiles it
-# symmetrizes.  Z does not depend on it.  On planted graphs of size
-# 720-3000, widths 64 and 128 were fastest and 16 or 512 up to 1.7x
-# slower (grid in CHANGES.md); 64 keeps the three N-by-width buffers
-# smaller.
+# Width of the column blocks `walk_matrix` propagates.  Z does not depend
+# on it.  On planted graphs of size 720-3000, widths 64 and 128 were
+# fastest and 16 or 512 up to 1.7x slower (grid in CHANGES.md); 64 keeps
+# the three N-by-width buffers smaller.
 WALK_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class WalkMatrix:
-    """Log-transformed average of the first `order` walk-transition powers.
-
-    `degrees`, `order` and `negatives` are accepted as keywords, for
-    callers written against older versions, but are not stored: nothing
-    reads them back.
-    """
+    """Log-transformed average of the first `order` walk-transition powers."""
 
     matrix: np.ndarray
     volume: float
     n: int
     m: int
-    degrees: InitVar[object] = None
-    order: InitVar[object] = None
-    negatives: InitVar[object] = None
 
 
 @dataclass
@@ -97,34 +89,35 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     count, and applies the truncated logarithm log(max(., 1)) so entries
     below the sampling threshold vanish instead of diverging.
 
-    The powers are propagated over column blocks of WALK_BLOCK columns:
-    each power of a block is the sparse (CSR) transition matrix times the
-    previous dense power of that block.  Each block is rescaled, truncated
-    and logged on its own and written transposed into the one N-by-N
-    result, so no other N-by-N array is made.  The result is symmetric
-    in exact arithmetic; it is symmetrized tile by tile in place, so it
-    is exactly symmetric in floating point too, as `factorize` requires.
-    Every entry goes through the same operations whatever the block
-    width, so the result does not depend on it.
+    B is read in its CSR form only: the transition matrix is a CSR copy
+    of it with each row divided by its degree.  The powers are propagated
+    over column blocks of WALK_BLOCK columns: the first power of a block
+    is its columns of the transition matrix made dense, and each later
+    power is the transition matrix times the previous one.  Each block is
+    rescaled, truncated and logged on its own and written transposed into
+    the one N-by-N result, so no other N-by-N array is made.  The result
+    is symmetric in exact arithmetic; it is symmetrized tile by tile in
+    place, so it is exactly symmetric in floating point too, as
+    `factorize` requires.  Every entry goes through the same operations
+    whatever the block width, so the result does not depend on it.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if negatives < 1:
         raise ValueError("negatives must be >= 1")
-    B = hetero.matrix
-    degrees = B.sum(axis=1)
+    transition = sparse.csr_array(hetero.matrix, copy=True)
+    degrees = transition.sum(axis=1)
     if np.any(degrees <= 0):
         raise ValueError("every entity must have positive degree")
     volume = float(degrees.sum())
 
-    transition = sparse.csr_matrix(B)
     transition.data /= np.repeat(degrees, np.diff(transition.indptr))
     scale = volume / (order * negatives)
-    size = B.shape[0]
+    size = transition.shape[0]
     Z = np.empty((size, size))
     for start in range(0, size, WALK_BLOCK):
         cols = slice(start, start + WALK_BLOCK)
-        acc = B[:, cols] / degrees[:, None]  # the dense columns of P
+        acc = transition[:, cols].toarray()
         power = acc  # read before acc is first updated
         for _ in range(order - 1):
             power = transition @ power
@@ -136,23 +129,6 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
         Z[cols] = acc.T
     _symmetrize(Z)
     return WalkMatrix(matrix=Z, volume=volume, n=hetero.n, m=hetero.m)
-
-
-def _symmetrize(Z):
-    """Replace Z by (Z + Z^T) / 2 in place, one pair of tiles at a time.
-
-    Both tiles of a pair receive the same values, since a + b == b + a in
-    floating point, so the result is exactly symmetric.
-    """
-    size = Z.shape[0]
-    for start in range(0, size, WALK_BLOCK):
-        rows = slice(start, start + WALK_BLOCK)
-        for other in range(start, size, WALK_BLOCK):
-            cols = slice(other, other + WALK_BLOCK)
-            tile = Z[rows, cols] + Z[cols, rows].T
-            tile *= 0.5
-            Z[rows, cols] = tile
-            Z[cols, rows] = tile.T
 
 
 def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:

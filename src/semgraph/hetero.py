@@ -17,6 +17,9 @@ from .io import AttributedGraph
 
 DENSE_SIZE_CAP = 20_000
 
+# Tile width of `_symmetrize`; its result does not depend on it.
+_TILE = 64
+
 
 def mnorm(matrix) -> np.ndarray:
     """Rescale all entries jointly onto [0, 1] by the global min and max.
@@ -59,9 +62,28 @@ def attribute_similarity(attr_weights) -> np.ndarray:
     cols = R0 / norms
     gram = cols.T @ cols
     scale = 1.0 / np.sqrt(gram.sum(axis=1))
-    scaled = gram * scale[:, None] * scale[None, :]
-    scaled = (scaled + scaled.T) / 2.0  # exact symmetry despite BLAS rounding
-    return mnorm(scaled)
+    gram *= scale[:, None]
+    gram *= scale[None, :]
+    _symmetrize(gram)  # exact symmetry despite BLAS rounding
+    return _mnorm_in_place(gram)
+
+
+def _symmetrize(matrix: np.ndarray) -> None:
+    """Replace a square array by (M + M^T) / 2 in place, one pair of
+    tiles at a time, so no second full-size array is made.
+
+    Both tiles of a pair receive the same values, since a + b == b + a in
+    floating point, so the result is exactly symmetric.
+    """
+    size = matrix.shape[0]
+    for start in range(0, size, _TILE):
+        rows = slice(start, start + _TILE)
+        for other in range(start, size, _TILE):
+            cols = slice(other, other + _TILE)
+            tile = matrix[rows, cols] + matrix[cols, rows].T
+            tile *= 0.5
+            matrix[rows, cols] = tile
+            matrix[cols, rows] = tile.T
 
 
 def motif_relations(attr_weights, weighted: bool = False):
@@ -106,12 +128,12 @@ def combine_relations(R0, R1, R2, deltas) -> np.ndarray:
 class HeteroAdjacency:
     """Symmetric weighted adjacency B over n node and m attribute entities.
 
-    B is stored once; its three blocks are views into it: the topology
-    B[:n, :n], the node-attribute relations B[:n, n:] and the
-    attribute-attribute similarity B[n:, n:].
+    B is stored once, as a CSR array; its three blocks are sparse slices
+    of it (copies): the topology B[:n, :n], the node-attribute relations
+    B[:n, n:] and the attribute-attribute similarity B[n:, n:].
     """
 
-    matrix: np.ndarray
+    matrix: sparse.csr_array
     n: int
 
     @property
@@ -119,15 +141,15 @@ class HeteroAdjacency:
         return self.matrix.shape[0] - self.n
 
     @property
-    def adjacency_block(self) -> np.ndarray:
+    def adjacency_block(self) -> sparse.csr_array:
         return self.matrix[:self.n, :self.n]
 
     @property
-    def relation_block(self) -> np.ndarray:
+    def relation_block(self) -> sparse.csr_array:
         return self.matrix[:self.n, self.n:]
 
     @property
-    def similarity_block(self) -> np.ndarray:
+    def similarity_block(self) -> sparse.csr_array:
         return self.matrix[self.n:, self.n:]
 
 
@@ -143,40 +165,29 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
     without any relation are rejected because the downstream random walk
     divides by entity degrees.
 
-    B is the only (n+m)-square array made: the dense n-by-m relation
-    inputs are released before it is allocated, and the topology block
-    is filled from the adjacency's stored entries.
+    B is assembled once, as CSR, from the sparse adjacency and the dense
+    n-by-m relation and m-by-m similarity blocks; it keeps the nonzeros
+    of each block, and no (n+m)-square dense array is made.
     """
     n, m = g.n, g.m
     if n + m > size_cap:
         raise ValueError(
             f"dense construction over {n + m} entities exceeds the size cap "
             f"of {size_cap}; raise size_cap explicitly to proceed")
-    if m:
-        R0 = _to_dense(g.attr_weights)
-        sim = attribute_similarity(R0) if attr_similarity else np.zeros((m, m))
-        R1, R2 = motif_relations(R0, weighted=weighted_motifs)
-        rel = combine_relations(R0, R1, R2, deltas)
-        del R0, R1, R2
-    else:
-        sim = np.zeros((0, 0))
-        rel = np.zeros((n, 0))
+    R0 = _to_dense(g.attr_weights)
+    sim = attribute_similarity(R0) if attr_similarity else np.zeros((m, m))
+    R1, R2 = motif_relations(R0, weighted=weighted_motifs)
+    rel = combine_relations(R0, R1, R2, deltas)
+    del R0, R1, R2
+    if not rel.any() and not sim.any():
+        # No attributes, or the pure-topology ablation: the attribute side
+        # carries no weight at all, so attribute entities are dropped
+        # rather than left isolated.
+        rel, sim = rel[:, :0], sim[:0, :0]
 
-    if m and not rel.any() and not sim.any():
-        # Pure-topology ablation: the attribute side carries no weight at
-        # all, so attribute entities are dropped rather than left isolated.
-        m = 0
-        sim = np.zeros((0, 0))
-        rel = np.zeros((n, 0))
-
-    B = np.zeros((n + m, n + m))
-    adjacency = sparse.coo_array(g.adjacency, copy=True)
-    adjacency.sum_duplicates()  # as `toarray` would
-    B[adjacency.row, adjacency.col] = adjacency.data
-    B[:n, n:] = rel
-    B[n:, :n] = rel.T
-    B[n:, n:] = sim
-
+    # csr_array: `bmat` returns the older matrix type on scipy < 1.11.
+    B = sparse.csr_array(sparse.bmat([[g.adjacency, rel], [rel.T, sim]],
+                                     format="csr"))
     degrees = B.sum(axis=1)
     if np.any(degrees == 0):
         i = int(np.argmin(degrees))

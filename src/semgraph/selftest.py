@@ -28,7 +28,7 @@ def _check_walk(rng, rounds):
         hetero = build_hetero_adjacency(g)
         order = int(rng.integers(1, 5))
         ours = walk_matrix(hetero, order=order, negatives=1).matrix
-        ref = reference.walk_oracle(hetero.matrix, order, 1)
+        ref = reference.walk_oracle(hetero.matrix.toarray(), order, 1)
         scale = max(1.0, float(np.abs(ref).max()))
         worst = max(worst, float(np.abs(ours - ref).max()) / scale)
     return worst, 1e-10

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .embedding import EmbeddingModel, WalkMatrix
-from .hetero import mnorm
+from .hetero import _mnorm_in_place, _symmetrize
 from .io import AttributedGraph
 
 log = logging.getLogger(__name__)
@@ -72,12 +72,20 @@ class SideInfo:
 
 
 def modularity_matrix(g: AttributedGraph) -> np.ndarray:
-    """Q = A - d d^T / (2e) over nodes; every row sums to zero exactly."""
+    """Q = A - d d^T / (2e) over nodes; every row sums to zero exactly.
+
+    Q is the one n-by-n array made: -d d^T / (2e) is filled in place and
+    the adjacency's stored entries are added to it.
+    """
     if g.e == 0:
         raise ValueError("modularity is undefined for an edgeless graph")
-    A = g.adjacency.toarray().astype(float)
-    d = A.sum(axis=1)
-    return A - np.outer(d, d) / (2.0 * g.e)
+    adjacency = g.adjacency.tocoo()
+    d = adjacency.sum(axis=1)
+    Q = np.outer(d, d)
+    Q /= 2.0 * g.e
+    np.negative(Q, out=Q)
+    np.add.at(Q, (adjacency.row, adjacency.col), adjacency.data)
+    return Q
 
 
 def attribute_cosine(g: AttributedGraph) -> np.ndarray:
@@ -91,7 +99,7 @@ def attribute_cosine(g: AttributedGraph) -> np.ndarray:
     safe = np.where(norms > 0, norms, 1.0)
     unit = R / safe[:, None]
     sim = unit @ unit.T
-    sim = (sim + sim.T) / 2.0  # exact symmetry despite BLAS rounding
+    _symmetrize(sim)  # exact symmetry despite BLAS rounding
     sim[norms == 0, :] = 0.0
     sim[:, norms == 0] = 0.0
     return sim
@@ -114,8 +122,8 @@ def build_side_info(g: AttributedGraph, lambdas=(1.0, 1.0)) -> SideInfo:
     lam = (float(lambdas[0]), float(lambdas[1]))
     if lam[0] < 0 or lam[1] < 0:
         raise ValueError("source weights must be non-negative")
-    return SideInfo(q_norm=mnorm(modularity_matrix(g)),
-                    s_norm=mnorm(attribute_cosine(g)), lambdas=lam,
+    return SideInfo(q_norm=_mnorm_in_place(modularity_matrix(g)),
+                    s_norm=_mnorm_in_place(attribute_cosine(g)), lambdas=lam,
                     size=g.n + g.m)
 
 
@@ -136,18 +144,17 @@ def objective_value(Z: np.ndarray, X: np.ndarray, Y: np.ndarray,
     """Squared reconstruction error plus the weighted Laplacian penalties.
 
     The residual Z - X Y^T is formed in one size-by-size buffer.  The
-    sources cover the n node rows only, so each penalty is taken on
-    X[:n] with the n-by-n source, not on X with its zero-padded form.
+    sources cover the n node rows only, so the penalty is
+    tr(X_n^T L X_n) on X_n = X[:n] with the n-by-n `side.node_laplacian`
+    L, not on X with its zero-padded form.
     """
     residual = X @ Y.T
     np.subtract(Z, residual, out=residual)
     value = float(np.linalg.norm(residual, "fro") ** 2)
-    del residual  # freed before the penalties build their Laplacians
+    del residual  # freed before the penalty builds its Laplacian
     if side is not None:
         nodes = X[:side.q_norm.shape[0]]
-        for lam, T in zip(side.lambdas, (side.q_norm, side.s_norm)):
-            if lam:
-                value += lam * regularization_value(nodes, T)
+        value += float(np.sum(nodes * (side.node_laplacian @ nodes)))
     return value
 
 

@@ -64,7 +64,7 @@ class TestWalkMatrix:
             hetero = build_hetero_adjacency(AttributedGraph.from_dense(A, R0))
             order = int(rng.integers(1, 5))
             ours = walk_matrix(hetero, order=order, negatives=1).matrix
-            ref = oracles.walk_oracle(hetero.matrix, order, 1)
+            ref = oracles.walk_oracle(hetero.matrix.toarray(), order, 1)
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(ours - ref).max() / scale < 1e-10
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 import oracles
 from semgraph import (AttributedGraph, attribute_similarity,
                       build_hetero_adjacency, combine_relations, mnorm,
-                      motif_relations)
+                      motif_relations, planted_attributed_sbm)
 
 
 class TestMnorm:
@@ -138,13 +140,13 @@ class TestBuildHeteroAdjacency:
         hetero = build_hetero_adjacency(_minimal_graph(),
                                         deltas=(1.0, 0.0, 0.0))
         expect = [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-        assert hetero.matrix.tolist() == expect
+        assert hetero.matrix.toarray().tolist() == expect
 
     def test_no_attributes_reduces_to_adjacency(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         g = AttributedGraph.from_dense(A, np.zeros((2, 0)))
         hetero = build_hetero_adjacency(g)
-        assert np.array_equal(hetero.matrix, A)
+        assert np.array_equal(hetero.matrix.toarray(), A)
         assert hetero.m == 0
 
     def test_exact_symmetry_and_block_readback(self):
@@ -153,18 +155,36 @@ class TestBuildHeteroAdjacency:
             A, R0 = oracles.random_connected_graph(rng)
             g = AttributedGraph.from_dense(A, R0)
             hetero = build_hetero_adjacency(g)
-            B = hetero.matrix
+            B = hetero.matrix.toarray()
             assert np.array_equal(B, B.T)
             n = g.n
-            assert np.array_equal(B[:n, :n], hetero.adjacency_block)
-            assert np.array_equal(B[:n, n:], hetero.relation_block)
-            assert np.array_equal(B[n:, n:], hetero.similarity_block)
-            for block in (hetero.adjacency_block, hetero.relation_block,
-                          hetero.similarity_block):
-                assert np.shares_memory(block, B)
+            assert np.array_equal(B[:n, :n], hetero.adjacency_block.toarray())
+            assert np.array_equal(B[:n, n:], hetero.relation_block.toarray())
+            assert np.array_equal(B[n:, n:],
+                                  hetero.similarity_block.toarray())
             assert B.min() >= 0.0
             assert hetero.relation_block.max() <= 1.0
             assert hetero.similarity_block.max() <= 1.0
+
+    def test_csr_equals_dense_block_assembly(self):
+        # B is stored as CSR only; its entries are exactly those of the
+        # dense block layout [[A, rel], [rel^T, sim]], with no stored zeros
+        rng = np.random.default_rng(6)
+        graphs = [AttributedGraph.from_dense(
+            *oracles.random_connected_graph(rng)) for _ in range(10)]
+        graphs.append(planted_attributed_sbm(nodes=150, blocks=3, seed=6))
+        for g in graphs:
+            hetero = build_hetero_adjacency(g)
+            assert isinstance(hetero.matrix, sparse.csr_array)
+            if hetero.m == 0:
+                continue  # degenerate input collapsed to pure topology
+            R0 = g.attr_weights.toarray()
+            rel = combine_relations(R0, *motif_relations(R0),
+                                    (1.0, 1.0, 1.0))
+            dense = np.block([[g.adjacency.toarray(), rel],
+                              [rel.T, attribute_similarity(R0)]])
+            assert np.array_equal(hetero.matrix.toarray(), dense)
+            assert np.all(hetero.matrix.data != 0.0)
 
     def test_matches_independent_assembly(self):
         rng = np.random.default_rng(4)
@@ -176,7 +196,7 @@ class TestBuildHeteroAdjacency:
             if hetero.m == 0:
                 continue  # degenerate input collapsed to pure topology
             ref = oracles.assemble_b(A, R0, deltas)
-            assert np.allclose(hetero.matrix, ref, atol=1e-12)
+            assert np.allclose(hetero.matrix.toarray(), ref, atol=1e-12)
 
     def test_weighted_motifs_match_oracle(self):
         rng = np.random.default_rng(5)
@@ -185,14 +205,15 @@ class TestBuildHeteroAdjacency:
         g = AttributedGraph.from_dense(A, R0)
         hetero = build_hetero_adjacency(g, weighted_motifs=True)
         ref = oracles.assemble_b(A, R0, (1.0, 1.0, 1.0), weighted=True)
-        assert np.allclose(hetero.matrix, ref, atol=1e-12)
+        assert np.allclose(hetero.matrix.toarray(), ref, atol=1e-12)
 
     def test_pure_topology_ablation_drops_attributes(self):
         g = _minimal_graph()
         hetero = build_hetero_adjacency(g, deltas=(0.0, 0.0, 0.0),
                                         attr_similarity=False)
         assert hetero.m == 0
-        assert np.array_equal(hetero.matrix, g.adjacency.toarray())
+        assert np.array_equal(hetero.matrix.toarray(),
+                              g.adjacency.toarray())
 
     def test_zero_row_names_node(self):
         # node c has no edges; its only attribute weight sits at the

@@ -5,7 +5,9 @@ shape), each stage is held to a bound that the whole-matrix forms it
 replaced break: `build_hetero_adjacency` read 2.45 N^2, `walk_matrix`
 3.02 N^2 and `side_enhance` 4.0 N^2 (on top of the walk matrix, which it
 is given).  Column blocks, in-place accumulation and the node-block
-Cholesky bring them to about 1.35, 1.16 and 1.09.
+Cholesky bring them to about 1.25, 1.16 and 1.09.  With the combined
+graph B counted, live across the walk, a dense B read 2.15 N^2; B held
+as CSR brings it to about 1.25, the peak of building B.
 """
 
 import tracemalloc
@@ -46,6 +48,12 @@ def test_hetero_peak(planted):
 def test_walk_peak(planted):
     g, hetero, _ = planted
     assert _peak_multiple(g.n + g.m, walk_matrix, hetero) <= 1.5
+
+
+def test_walk_peak_with_combined_graph(planted):
+    g, _, _ = planted
+    assert _peak_multiple(g.n + g.m, lambda: walk_matrix(
+        build_hetero_adjacency(g))) <= 1.5
 
 
 def test_side_enhance_peak(planted):

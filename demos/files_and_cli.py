@@ -4,9 +4,10 @@ read the embedding file back into numpy.
 
 All three inputs are tab-separated text; the embedding file prints
 vectors at 17 significant digits, so reading it back is lossless and
-repeated runs are byte-identical.
+repeated runs are byte-identical; the demo exits 1 if a rerun is not.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -37,8 +38,11 @@ for tag, vec in emb.rows:
 again = work / "again.tsv"
 main(["embed", "--edges", str(edges), "--attrs", str(attrs),
       "--dim", "4", "--out", str(again)])
-print("byte-identical rerun:", out.read_bytes() == again.read_bytes())
+identical = out.read_bytes() == again.read_bytes()
+print("byte-identical rerun:", identical)
 
 dist = np.linalg.norm(emb.vectors[:6] - emb.vectors[6], axis=1)
 print("distance to 'sweet' from each node:",
       np.array2string(dist, precision=3))
+if not identical:
+    sys.exit(1)

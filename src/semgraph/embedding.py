@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .hetero import (DENSE_SIZE_CAP, HeteroAdjacency, _symmetrize,
-                     build_hetero_adjacency)
+from .hetero import DENSE_SIZE_CAP, HeteroAdjacency, build_hetero_adjacency
 from .io import AttributedGraph
 
 # `factorize` uses Lanczos when size >= LANCZOS_MIN_RATIO * dim, dense
@@ -33,12 +32,15 @@ WALK_BLOCK = 64
 
 @dataclass(frozen=True)
 class WalkMatrix:
-    """Log-transformed average of the first `order` walk-transition powers."""
+    """Log-transformed average of the first `order` walk-transition powers,
+    exactly symmetric, over n nodes and m = size - n attributes."""
 
     matrix: np.ndarray
-    volume: float
     n: int
-    m: int
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0] - self.n
 
 
 @dataclass
@@ -96,10 +98,10 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     power is the transition matrix times the previous one.  Each block is
     rescaled, truncated and logged on its own and written transposed into
     the one N-by-N result, so no other N-by-N array is made.  The result
-    is symmetric in exact arithmetic; it is symmetrized tile by tile in
-    place, so it is exactly symmetric in floating point too, as
-    `factorize` requires.  Every entry goes through the same operations
-    whatever the block width, so the result does not depend on it.
+    is symmetric in exact arithmetic; `_symmetrize` makes it exactly
+    symmetric in floating point too, as `factorize` requires.  Every
+    entry goes through the same operations whatever the block width, so
+    the result does not depend on it.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -128,7 +130,23 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
         np.log(acc, out=acc)
         Z[cols] = acc.T
     _symmetrize(Z)
-    return WalkMatrix(matrix=Z, volume=volume, n=hetero.n, m=hetero.m)
+    return WalkMatrix(matrix=Z, n=hetero.n)
+
+
+def _symmetrize(matrix: np.ndarray) -> None:
+    """Replace a square array by (M + M^T) / 2 in place, one pair of
+    WALK_BLOCK-wide tiles at a time, so no second full-size array is made.
+    Both tiles of a pair receive the same values, since a + b == b + a in
+    floating point, so the result is exactly symmetric."""
+    size = matrix.shape[0]
+    for start in range(0, size, WALK_BLOCK):
+        rows = slice(start, start + WALK_BLOCK)
+        for other in range(start, size, WALK_BLOCK):
+            cols = slice(other, other + WALK_BLOCK)
+            tile = matrix[rows, cols] + matrix[cols, rows].T
+            tile *= 0.5
+            matrix[rows, cols] = tile
+            matrix[cols, rows] = tile.T
 
 
 def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
@@ -140,11 +158,13 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     `dim`, only those pairs are computed, by implicitly restarted Lanczos
     (ARPACK `eigsh`) on the sparse (CSR) matrix from a fixed-seed start
     vector; otherwise dense `eigh` computes all pairs.  Both give the
-    same factors to rounding.  Left and right factors are both scaled by
-    the square root of the kept singular values; column signs are fixed
-    so the largest-magnitude entry of each left singular vector is
-    positive, making output reproducible.  `eigh` reads only one
-    triangle, so a matrix that is not exactly symmetric is rejected.
+    same factors to rounding.  Both factors are scaled by the square
+    root of the kept singular values; the right one is the left one
+    times sign(lam).  Column signs make positive the first entry of each
+    left column within 1e-9 relative of its largest magnitude, so entries
+    tied in magnitude (structurally symmetric entities) cannot flip a
+    column under rounding.  `eigh` reads only one triangle, so a matrix
+    that is not exactly symmetric is rejected.
     """
     Z = walk.matrix
     size = Z.shape[0]
@@ -158,17 +178,15 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
         lam, Q = _dense_pairs(Z)
     keep = np.argsort(-np.abs(lam), kind="stable")[:dim]
     lam, U = lam[keep], Q[:, keep]
-    s = np.abs(lam)
-    Vt = (U * np.where(lam < 0, -1.0, 1.0)[None, :]).T
 
-    anchor = np.argmax(np.abs(U), axis=0)
-    signs = np.where(U[anchor, np.arange(dim)] < 0, -1.0, 1.0)
-    U = U * signs[None, :]
-    Vt = Vt * signs[:, None]
+    magnitude = np.abs(U)
+    near_max = magnitude >= (1.0 - 1e-9) * magnitude.max(axis=0)
+    anchor = np.argmax(near_max, axis=0)
+    U *= np.sign(U[anchor, np.arange(dim)])
 
-    root = np.sqrt(s)
-    return EmbeddingModel(vectors=U * root[None, :],
-                          context=Vt.T * root[None, :], n=walk.n)
+    vectors = U * np.sqrt(np.abs(lam))
+    return EmbeddingModel(vectors=vectors, context=vectors * np.sign(lam),
+                          n=walk.n)
 
 
 def _dense_pairs(Z):

@@ -21,6 +21,10 @@ from .io import AttributedGraph
 
 log = logging.getLogger(__name__)
 
+# Ridge weight of the one-vs-rest classifier: `train_classifier`'s default
+# and the value `evaluate` trains with and reports.
+CLASSIFIER_L2 = 1e-4
+
 
 @dataclass
 class Clustering:
@@ -73,6 +77,10 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
     N = points.shape[0]
     if not 1 <= k <= N:
         raise ValueError(f"k must be in [1, {N}], got {k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     sq_norms = (points ** 2).sum(axis=1)
     rng = np.random.default_rng(seed)
@@ -268,7 +276,7 @@ def _newton_logistic(Xa, t, l2, max_steps, tol) -> tuple[np.ndarray, bool]:
     return w, bool(np.linalg.norm(logistic_grad(w, Xa, t, l2)) <= tol)
 
 
-def train_classifier(vectors, labels, l2: float = 1e-4,
+def train_classifier(vectors, labels, l2: float = CLASSIFIER_L2,
                      max_steps: int = 100,
                      tol: float = 1e-6) -> LinearClassifier:
     """One-vs-rest logistic regression, each binary problem solved by
@@ -362,8 +370,7 @@ def _sample_train(labels, fraction, rng, attempts: int = 20):
 
 def evaluate(model: EmbeddingModel, g: AttributedGraph,
              task: str = "clustering", repeats: int = 100,
-             train_fraction: float = 0.1, seed: int = 0,
-             l2: float = 1e-4) -> EvalReport:
+             train_fraction: float = 0.1, seed: int = 0) -> EvalReport:
     """Score node vectors on a labeled graph, averaging over seeded repeats.
 
     Deterministic in (model, g, protocol): per-repeat seeds derive from
@@ -399,7 +406,7 @@ def evaluate(model: EmbeddingModel, g: AttributedGraph,
         for s in sub_seeds:
             rng = np.random.default_rng(int(s))
             train, test = _sample_train(labels, train_fraction, rng)
-            clf = train_classifier(X[train], labels[train], l2=l2)
+            clf = train_classifier(X[train], labels[train])
             pred = classify(clf, X[test])
             acs.append(accuracy(pred, labels[test]))
             f1s.append(macro_f1(pred, labels[test],
@@ -408,6 +415,6 @@ def evaluate(model: EmbeddingModel, g: AttributedGraph,
                           macro_f1=float(np.mean(f1s)), repeats=repeats,
                           seed=seed,
                           config={"train_fraction": train_fraction,
-                                  "l2": l2},
+                                  "l2": CLASSIFIER_L2},
                           per_repeat={"ac": acs, "macro_f1": f1s})
     raise ValueError(f"unknown task {task!r}")

@@ -17,9 +17,6 @@ from .io import AttributedGraph
 
 DENSE_SIZE_CAP = 20_000
 
-# Tile width of `_symmetrize`; its result does not depend on it.
-_TILE = 64
-
 
 def mnorm(matrix) -> np.ndarray:
     """Rescale all entries jointly onto [0, 1] by the global min and max.
@@ -50,7 +47,9 @@ def attribute_similarity(attr_weights) -> np.ndarray:
 
     Columns are compared by cosine similarity, the resulting matrix is
     symmetrically scaled by its row sums, and the scaled matrix is mapped
-    onto [0, 1] with mnorm.
+    onto [0, 1] with mnorm.  numpy forms the product of an array with its
+    own transpose by a symmetric rank-k update, so the Gram matrix is
+    exactly symmetric, and so is its scaling by outer(scale, scale).
     """
     R0 = _to_dense(attr_weights)
     m = R0.shape[1]
@@ -62,28 +61,8 @@ def attribute_similarity(attr_weights) -> np.ndarray:
     cols = R0 / norms
     gram = cols.T @ cols
     scale = 1.0 / np.sqrt(gram.sum(axis=1))
-    gram *= scale[:, None]
-    gram *= scale[None, :]
-    _symmetrize(gram)  # exact symmetry despite BLAS rounding
+    gram *= np.outer(scale, scale)
     return _mnorm_in_place(gram)
-
-
-def _symmetrize(matrix: np.ndarray) -> None:
-    """Replace a square array by (M + M^T) / 2 in place, one pair of
-    tiles at a time, so no second full-size array is made.
-
-    Both tiles of a pair receive the same values, since a + b == b + a in
-    floating point, so the result is exactly symmetric.
-    """
-    size = matrix.shape[0]
-    for start in range(0, size, _TILE):
-        rows = slice(start, start + _TILE)
-        for other in range(start, size, _TILE):
-            cols = slice(other, other + _TILE)
-            tile = matrix[rows, cols] + matrix[cols, rows].T
-            tile *= 0.5
-            matrix[rows, cols] = tile
-            matrix[cols, rows] = tile.T
 
 
 def motif_relations(attr_weights, weighted: bool = False):

@@ -69,7 +69,7 @@ def _check_factorization(rng, rounds):
 def _tail_gap(target, k):
     """|rank-k residual of `factorize` - tail norm from `eigvalsh`|."""
     size = target.shape[0]
-    model = factorize(WalkMatrix(matrix=target, volume=1.0, n=size, m=0), k)
+    model = factorize(WalkMatrix(matrix=target, n=size), k)
     s = np.sort(np.abs(np.linalg.eigvalsh(target)))[::-1]
     resid = np.linalg.norm(target - model.vectors @ model.context.T)
     return abs(resid - float(np.sqrt((s[k:] ** 2).sum())))
@@ -91,7 +91,7 @@ def _check_metrics(rng, rounds):
     X = np.vstack([rng.normal(size=(20, 3)) + 6.0,
                    rng.normal(size=(20, 3)) - 6.0])
     y = np.repeat([0, 1], 20)
-    clf = train_classifier(X, y, l2=1e-4)
+    clf = train_classifier(X, y)
     train_acc = float(np.mean(classify(clf, X) == y))
     return 0.0 if train_acc == 1.0 else 1.0, 0.0
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .embedding import EmbeddingModel, WalkMatrix
-from .hetero import _mnorm_in_place, _symmetrize
+from .hetero import _mnorm_in_place
 from .io import AttributedGraph
 
 log = logging.getLogger(__name__)
@@ -92,14 +92,14 @@ def attribute_cosine(g: AttributedGraph) -> np.ndarray:
     """Cosine similarity between node rows of the attribute matrix.
 
     A node with no attributes has zero similarity to everything, itself
-    included, rather than propagating division by zero.
+    included, rather than propagating division by zero.  numpy forms
+    `unit @ unit.T` by a symmetric rank-k update: it is exactly symmetric.
     """
     R = g.attr_weights.toarray().astype(float)
     norms = np.linalg.norm(R, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = R / safe[:, None]
     sim = unit @ unit.T
-    _symmetrize(sim)  # exact symmetry despite BLAS rounding
     sim[norms == 0, :] = 0.0
     sim[:, norms == 0] = 0.0
     return sim

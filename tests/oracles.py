@@ -18,6 +18,26 @@ from semgraph.reference import (  # noqa: F401  (re-exported oracles)
     motif_enumeration, random_connected_graph, walk_oracle)
 
 
+# ------------------------------------------- exact-symmetry inputs
+
+def symmetry_cases():
+    """Attribute matrices, by name, for the exact-symmetry checks of
+    `attribute_similarity` and `attribute_cosine`: small edge shapes, a
+    Fortran-ordered array, and Gram products large enough for blocked
+    BLAS kernels."""
+    rng = np.random.default_rng(12)
+    weights = rng.uniform(0.1, 5.0, (300, 40)) * (rng.random((300, 40)) < 0.2)
+    weights[0, weights.sum(axis=0) == 0] = 1.0  # no zero-norm column
+    bare = weights.copy()
+    bare[7] = 0.0
+    bare[8, bare.sum(axis=0) == 0] = 1.0
+    return {"one attribute": rng.random((9, 1)) + 0.1,
+            "one node": rng.random((1, 6)) + 0.1,
+            "fortran order": np.asfortranarray(weights),
+            "non-binary weights": weights,
+            "node without attributes": bare}
+
+
 # ---------------------------------------------------------------- mnorm
 
 def mnorm_oracle(M):

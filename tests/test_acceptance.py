@@ -82,7 +82,7 @@ class TestCriterion03Factorization:
         for size, width in ((9, 9), (12, 12), (7, 7)):
             Z = rng.normal(size=(size, width))
             Z = (Z + Z.T) / 2.0  # factorization target is square symmetric
-            walk = WalkMatrix(matrix=Z, volume=1.0, n=size, m=0)
+            walk = WalkMatrix(matrix=Z, n=size)
             theta = np.linalg.svd(Z, compute_uv=False)
             for k in range(1, size + 1):
                 model = factorize(walk, k)

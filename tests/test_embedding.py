@@ -22,7 +22,6 @@ class TestWalkMatrix:
         B = np.array([[0.0, 1.0], [1.0, 0.0]])
         walk = walk_matrix(_hetero_from_dense(B), order=2, negatives=1)
         assert np.allclose(walk.matrix, 0.0, atol=1e-15)
-        assert walk.volume == 2.0
 
     def test_triangle_order_one(self):
         B = np.ones((3, 3)) - np.eye(3)
@@ -81,6 +80,11 @@ class TestWalkMatrix:
             assert np.array_equal(Z, ref)
             assert np.array_equal(Z, Z.T)
 
+    def test_attribute_count_read_off_shape(self):
+        Z = np.zeros((7, 7))
+        for k in (0, 3, 7):
+            assert WalkMatrix(matrix=Z, n=k).m == Z.shape[0] - k
+
     def test_parameter_validation(self):
         B = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -100,8 +104,7 @@ def _symmetric(rng, size):
 
 
 def _walk_of(Z):
-    return WalkMatrix(matrix=np.asarray(Z, dtype=float), volume=1.0,
-                      n=Z.shape[0], m=0)
+    return WalkMatrix(matrix=np.asarray(Z, dtype=float), n=Z.shape[0])
 
 
 def _check_planted_matches_svd(nodes, dim):
@@ -183,6 +186,35 @@ class TestFactorize:
         U = a.vectors / np.sqrt((a.vectors ** 2).sum(axis=0))  # unit columns
         anchor = np.argmax(np.abs(U), axis=0)
         assert np.all(U[anchor, np.arange(4)] > 0)
+
+    def test_tied_entries_keep_column_signs(self):
+        """Structurally symmetric entities give left vectors with entries
+        tied in magnitude; a rounding-level symmetric change of Z must not
+        let the sign anchor move between them and flip a column."""
+        # the 6-node, 2-attribute graph of demos/files_and_cli.py
+        A = np.zeros((6, 6))
+        for i, j in ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)):
+            A[i, j] = A[j, i] = 1.0
+        R = np.zeros((6, 2))
+        R[[0, 1, 2], 0] = 1.0
+        R[[2, 3, 4, 5], 1] = 1.0
+        walk = walk_matrix(build_hetero_adjacency(
+            AttributedGraph.from_dense(A, R)))
+        Z = walk.matrix
+        ref = factorize(walk, 4).vectors
+        # the check is only meaningful if some column has a signed tie
+        magnitude = np.abs(ref)
+        tied = magnitude >= (1.0 - 1e-9) * magnitude.max(axis=0)
+        assert any(len(np.unique(np.sign(ref[tied[:, c], c]))) == 2
+                   for c in range(4))
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(200):
+            E = rng.normal(size=Z.shape)
+            perturbed = Z + (E + E.T) * (0.5e-15 * np.abs(Z).max())
+            model = factorize(WalkMatrix(matrix=perturbed, n=walk.n), 4)
+            worst = max(worst, float(np.abs(model.vectors - ref).max()))
+        assert worst <= 1e-12
 
     def test_non_symmetric_rejected(self):
         Z = np.arange(9.0).reshape(3, 3)

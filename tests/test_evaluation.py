@@ -65,6 +65,16 @@ class TestKmeans:
         with pytest.raises(ValueError, match="finite"):
             kmeans(np.array([[np.nan, 0.0]]), 1, seed=0)
 
+    def test_no_restart_rejected(self):
+        pts = np.random.default_rng(5).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(pts, 2, seed=0, restarts=0)
+
+    def test_no_iteration_rejected(self):
+        pts = np.random.default_rng(5).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans(pts, 2, seed=0, max_iter=0)
+
 
 class TestNmi:
     def test_identical(self):

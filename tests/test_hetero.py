@@ -63,6 +63,12 @@ class TestAttributeSimilarity:
             assert np.allclose(out, oracles.similarity_oracle(R0),
                                atol=1e-12)
 
+    @pytest.mark.parametrize("case", sorted(oracles.symmetry_cases()))
+    def test_exactly_symmetric(self, case):
+        # no symmetrizing pass: the Gram product and its scaling are exact
+        out = attribute_similarity(oracles.symmetry_cases()[case])
+        assert np.array_equal(out, out.T)
+
 
 class TestMotifRelations:
     def test_worked_example(self):

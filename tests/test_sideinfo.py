@@ -74,6 +74,18 @@ class TestAttributeCosine:
         S = attribute_cosine(_graph(A, R))
         assert S[1, 1] == 0.0 and S[1, 0] == 0.0 and S[2, 2] == 0.0
 
+    @pytest.mark.parametrize("case", sorted(oracles.symmetry_cases()))
+    def test_exactly_symmetric(self, case):
+        # no symmetrizing pass: the product of the unit rows is exact
+        R = oracles.symmetry_cases()[case]
+        n = R.shape[0]
+        A = np.zeros((n, n))
+        if n > 1:  # a ring, so the node without attributes has edges
+            ring = np.arange(n)
+            A[ring, (ring + 1) % n] = A[(ring + 1) % n, ring] = 1.0
+        S = attribute_cosine(_graph(A, R))
+        assert np.array_equal(S, S.T)
+
 
 class TestBuildSideInfo:
     def test_zero_lambdas_zero_laplacian(self):
@@ -286,7 +298,7 @@ class TestSideEnhance:
 
     def test_shape_mismatch_rejected(self):
         g, walk, model, side = self._setup()
-        small = WalkMatrix(matrix=np.eye(2), volume=1.0, n=2, m=0)
+        small = WalkMatrix(matrix=np.eye(2), n=2)
         with pytest.raises(ValueError, match="sizes disagree"):
             side_enhance(model, small, side)
         # an ablated model+walk pair covers only the n nodes, while the

@@ -1,10 +1,11 @@
 """Random-walk proximity matrix and its truncated factorization.
 
 The walk matrix is built by propagating column blocks through the sparse
-transition matrix.  It is symmetric, so its best rank-k factorization
-comes from the k eigenpairs of largest magnitude: implicitly restarted
-Lanczos (ARPACK) on its sparse form when k is a small fraction of its
-size, a dense symmetric eigensolver otherwise.
+transition matrix.  Each of its entries is computed once and written into
+both triangles, so it is exactly symmetric by construction, and its best
+rank-k factorization comes from the k eigenpairs of largest magnitude:
+implicitly restarted Lanczos (ARPACK) on its sparse form when k is a
+small fraction of its size, a dense symmetric eigensolver otherwise.
 """
 
 from __future__ import annotations
@@ -96,12 +97,14 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     over column blocks of WALK_BLOCK columns: the first power of a block
     is its columns of the transition matrix made dense, and each later
     power is the transition matrix times the previous one.  Each block is
-    rescaled, truncated and logged on its own and written transposed into
-    the one N-by-N result, so no other N-by-N array is made.  The result
-    is symmetric in exact arithmetic; `_symmetrize` makes it exactly
-    symmetric in floating point too, as `factorize` requires.  Every
-    entry goes through the same operations whatever the block width, so
-    the result does not depend on it.
+    rescaled, truncated and logged on its own; the result is the only
+    N-by-N array made.  The matrix M so computed is symmetric in exact
+    arithmetic only, so each block writes its entries on and below the
+    diagonal, M[i, j] with i >= j, into both triangles: entry (i, j) of
+    the result is M[max(i, j), min(i, j)], exactly symmetric by
+    construction, as `factorize` requires.  Every entry goes through the
+    same operations whatever the block width, so the result does not
+    depend on it.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -128,25 +131,12 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
         acc /= degrees[None, cols]
         np.maximum(acc, 1.0, out=acc)
         np.log(acc, out=acc)
-        Z[cols] = acc.T
-    _symmetrize(Z)
+        Z[cols, start:] = acc[start:].T
+        Z[start:, cols] = acc[start:]
+        tile = Z[cols, cols]  # holds acc[cols]; mirror its lower triangle
+        upper = np.triu_indices(tile.shape[0], 1)
+        tile[upper] = tile.T[upper]
     return WalkMatrix(matrix=Z, n=hetero.n)
-
-
-def _symmetrize(matrix: np.ndarray) -> None:
-    """Replace a square array by (M + M^T) / 2 in place, one pair of
-    WALK_BLOCK-wide tiles at a time, so no second full-size array is made.
-    Both tiles of a pair receive the same values, since a + b == b + a in
-    floating point, so the result is exactly symmetric."""
-    size = matrix.shape[0]
-    for start in range(0, size, WALK_BLOCK):
-        rows = slice(start, start + WALK_BLOCK)
-        for other in range(start, size, WALK_BLOCK):
-            cols = slice(other, other + WALK_BLOCK)
-            tile = matrix[rows, cols] + matrix[cols, rows].T
-            tile *= 0.5
-            matrix[rows, cols] = tile
-            matrix[cols, rows] = tile.T
 
 
 def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
@@ -202,7 +192,7 @@ def _lanczos_pairs(Z, dim):
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
     size = Z.shape[0]
-    csr = sparse.csr_matrix(Z)
+    csr = sparse.csr_array(Z)
     if csr.nnz == 0:  # ARPACK rejects a start vector that Z maps to zero
         return np.zeros(dim), np.eye(size, dim)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, size)

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .embedding import EmbeddingModel
 from .io import AttributedGraph
@@ -230,9 +229,14 @@ def logistic_loss(w, features, targets, l2: float) -> float:
     return data + 0.5 * l2 * float(w[:-1] @ w[:-1])
 
 
+def _sigmoid(z):
+    """1 / (1 + exp(-z)), through logaddexp so no exp overflows."""
+    return np.exp(-np.logaddexp(0.0, -z))
+
+
 def logistic_grad(w, features, targets, l2: float) -> np.ndarray:
     z = features @ w
-    g = features.T @ (expit(z) - targets) / features.shape[0]
+    g = features.T @ (_sigmoid(z) - targets) / features.shape[0]
     g[:-1] += l2 * w[:-1]
     return g
 
@@ -256,8 +260,8 @@ def _newton_logistic(Xa, t, l2, max_steps, tol) -> tuple[np.ndarray, bool]:
         if np.linalg.norm(g) <= tol:
             return w, True
         z = Xa @ w
-        # p(1-p) as expit(z)·expit(-z) keeps its size where 1-p rounds to 0
-        H = (Xa.T * (expit(z) * expit(-z))) @ Xa / N + ridge
+        # p(1-p) as σ(z)·σ(-z) keeps its size where 1-p rounds to 0
+        H = (Xa.T * (_sigmoid(z) * _sigmoid(-z))) @ Xa / N + ridge
         try:
             direction = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:  # l2 = 0 and a feature that is all 0

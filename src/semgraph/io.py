@@ -35,7 +35,7 @@ class AttributedGraph:
 
     @property
     def e(self) -> int:
-        return int(self.adjacency.nnz // 2)
+        return int(self.adjacency.count_nonzero() // 2)
 
     @classmethod
     def from_dense(cls, adjacency, attr_weights, node_ids=None, attr_ids=None,

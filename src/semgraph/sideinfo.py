@@ -34,8 +34,7 @@ class SideInfo:
 
     t1 / t2 pad the sources with zero rows and columns up to all
     `size` = n+m entities, laplacians are the Laplacians of t1 and t2,
-    and combined = lambda1*L1 + lambda2*L2, zero outside its leading
-    n-by-n block, which equals `node_laplacian` to rounding.  These are
+    and combined is `node_laplacian` padded the same way.  These are
     derived on each access, as size-by-size arrays, for callers that
     want the padded form; the refinement itself never builds them.
     """
@@ -59,16 +58,14 @@ class SideInfo:
 
     @property
     def combined(self) -> np.ndarray:
-        L1, L2 = self.laplacians
-        return self.lambdas[0] * L1 + self.lambdas[1] * L2
+        return _pad(self.node_laplacian, self.size)
 
     @property
     def node_laplacian(self) -> np.ndarray:
         lam1, lam2 = self.lambdas
-        L = self.q_norm * -lam1
-        L -= self.s_norm * lam2
-        L[np.diag_indices_from(L)] -= L.sum(axis=1)
-        return L
+        T = self.q_norm * lam1
+        T += self.s_norm * lam2
+        return _laplacian(T)
 
 
 def modularity_matrix(g: AttributedGraph) -> np.ndarray:
@@ -112,7 +109,11 @@ def _pad(block: np.ndarray, size: int) -> np.ndarray:
 
 
 def _laplacian(T: np.ndarray) -> np.ndarray:
-    return np.diag(T.sum(axis=1)) - T
+    """D_T - T, written over T, which must be an array the caller owns."""
+    degrees = T.sum(axis=1)
+    np.negative(T, out=T)
+    T[np.diag_indices_from(T)] += degrees
+    return T
 
 
 def build_side_info(g: AttributedGraph, lambdas=(1.0, 1.0)) -> SideInfo:
@@ -133,7 +134,7 @@ def regularization_value(X: np.ndarray, T: np.ndarray) -> float:
     Evaluated through the equivalent trace form tr(X^T (D_T - T) X);
     the tests cross-check it against a literal pairwise sum.
     """
-    T = np.asarray(T, dtype=float)
+    T = np.array(T, dtype=float)
     if not np.array_equal(T, T.T):
         raise ValueError("similarity matrix must be symmetric")
     return float(np.trace(X.T @ _laplacian(T) @ X))

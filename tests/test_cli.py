@@ -309,6 +309,11 @@ class TestImportCost:
         runs that take dense `eigh` must not pay for importing it."""
         assert self._loaded_after_cli_import("scipy.sparse.linalg") == "False"
 
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        """The classifier's sigmoid is written with numpy; no command
+        pays for importing scipy.special."""
+        assert self._loaded_after_cli_import("scipy.special") == "False"
+
 
 class TestSelftestAndParser:
     def test_selftest_passes(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from semgraph import (AttributedGraph, EmbeddingModel, load_graph,
-                      read_embeddings, write_embeddings)
+                      modularity_matrix, read_embeddings, write_embeddings)
 
 
 def _write(path, text):
@@ -178,6 +178,19 @@ class TestValidate:
                             attr_weights=sparse.csr_array((2, 0)),
                             node_ids=["a", "b"], attr_ids=[])
         g.validate()
+
+    def test_stored_zeros_are_not_edges(self):
+        # edge a-b plus a stored zero at (b, c) and (c, b)
+        adjacency = sparse.csr_array(
+            (np.array([1.0, 1.0, 0.0, 0.0]), [1, 0, 2, 1], [0, 1, 3, 4]),
+            shape=(3, 3))
+        assert adjacency.nnz == 4
+        g = AttributedGraph(adjacency=adjacency,
+                            attr_weights=sparse.csr_array(np.eye(3)),
+                            node_ids=["a", "b", "c"], attr_ids=["x", "y", "z"])
+        g.validate()
+        assert g.e == 1
+        assert not modularity_matrix(g).sum(axis=1).any()
 
 
 class TestEmbeddingFiles:

@@ -8,6 +8,10 @@ is given).  Column blocks, in-place accumulation and the node-block
 Cholesky bring them to about 1.25, 1.16 and 1.09.  With the combined
 graph B counted, live across the walk, a dense B read 2.15 N^2; B held
 as CSR brings it to about 1.25, the peak of building B.
+
+Whole commands, run through `cli.main` from the TSV files, peak at about
+1.68 N^2 (`embed`) and 3.08 N^2 (`enhance`); their bounds leave the same
+headroom, about 1.3 times, and one more N-by-N array breaks either.
 """
 
 import tracemalloc
@@ -16,6 +20,7 @@ import pytest
 
 from semgraph import (build_hetero_adjacency, build_side_info, factorize,
                       planted_attributed_sbm, side_enhance, walk_matrix)
+from semgraph.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +66,31 @@ def test_side_enhance_peak(planted):
     model = factorize(walk, 16)
     side = build_side_info(g)
     assert _peak_multiple(g.n + g.m, side_enhance, model, walk, side) <= 2.5
+
+
+@pytest.fixture(scope="module")
+def planted_files(planted, tmp_path_factory):
+    g = planted[0]
+    directory = tmp_path_factory.mktemp("planted")
+    adjacency = g.adjacency.tocoo()
+    weights = g.attr_weights.tocoo()
+    edges = "".join(f"{g.node_ids[i]}\t{g.node_ids[j]}\n"
+                    for i, j in zip(adjacency.row, adjacency.col) if i < j)
+    attrs = "".join(f"{g.node_ids[i]}\t{g.attr_ids[w]}\n"
+                    for i, w in zip(weights.row, weights.col))
+    (directory / "edges.tsv").write_text(edges, encoding="utf-8")
+    (directory / "attrs.tsv").write_text(attrs, encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize("command, bound", [("embed", 2.2), ("enhance", 3.9)])
+def test_command_peak(planted, planted_files, command, bound):
+    g = planted[0]
+    argv = [command, "--edges", str(planted_files / "edges.tsv"),
+            "--attrs", str(planted_files / "attrs.tsv"),
+            "--out", str(planted_files / f"{command}.tsv")]
+
+    def run():
+        assert main(argv) == 0
+
+    assert _peak_multiple(g.n + g.m, run) <= bound

@@ -112,6 +112,18 @@ class TestBuildSideInfo:
                 assert np.abs(L.sum(axis=1)).max() <= 1e-10
             assert np.linalg.norm(side.combined @ ones) <= 1e-10
 
+    def test_combined_is_padded_node_laplacian(self):
+        rng = np.random.default_rng(2)
+        A, R0 = oracles.random_connected_graph(rng)
+        g = _graph(A, R0)
+        side = build_side_info(g, lambdas=(0.7, 1.3))
+        L = side.node_laplacian
+        T = 0.7 * side.q_norm + 1.3 * side.s_norm
+        assert np.array_equal(L, np.diag(T.sum(axis=1)) - T)
+        combined = side.combined
+        assert np.array_equal(combined[:g.n, :g.n], L)
+        assert not combined[g.n:, :].any() and not combined[:, g.n:].any()
+
     def test_similarity_blocks_symmetric_zero_padded(self):
         g = _triangle()
         side = build_side_info(g)
@@ -159,6 +171,14 @@ class TestRegularizationValue:
         X = np.zeros((2, 1))
         with pytest.raises(ValueError, match="symmetric"):
             regularization_value(X, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_similarity_left_unchanged(self):
+        rng = np.random.default_rng(5)
+        T = rng.random((5, 5))
+        T = (T + T.T) / 2
+        before = T.copy()
+        regularization_value(rng.normal(size=(5, 2)), T)
+        assert np.array_equal(T, before)
 
 
 class TestUpdates:

@@ -35,7 +35,8 @@ for lams in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (10.0, 10.0)]:
 # the total objective before/after each pass is also in the INFO log above
 print("\nobjective with the default weights, before and after one pass:")
 side = build_side_info(g)
-before = objective_value(walk.matrix, base.vectors, base.context, side)
+L = side.node_laplacian
+before = objective_value(walk.matrix, base.vectors, base.context, L)
 ref = side_enhance(base, walk, side)
-after = objective_value(walk.matrix, ref.vectors, ref.context, side)
+after = objective_value(walk.matrix, ref.vectors, ref.context, L)
 print(f"  {before:.4f} -> {after:.4f}")

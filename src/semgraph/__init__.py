@@ -26,9 +26,8 @@ from .hetero import (DENSE_SIZE_CAP, HeteroAdjacency, attribute_similarity,
 from .io import (AttributedGraph, EmbeddingFile, load_graph,
                  read_embeddings, write_embeddings)
 from .sideinfo import (SideInfo, attribute_cosine, build_side_info,
-                       modularity_matrix, objective_grad_x, objective_grad_y,
-                       objective_value, regularization_value, side_enhance,
-                       update_x, update_y)
+                       modularity_matrix, objective_value,
+                       regularization_value, side_enhance, update_x, update_y)
 from .synthetic import attribute_block, planted_attributed_sbm
 
 __version__ = "0.1.0"
@@ -43,8 +42,7 @@ __all__ = [
     "describe_direct", "describe_topics", "embed", "evaluate", "factorize",
     "format_descriptions", "kmeans", "load_graph", "macro_f1",
     "match_clusters", "mnorm", "modularity_matrix", "motif_relations",
-    "nmi", "objective_grad_x", "objective_grad_y", "objective_value",
-    "planted_attributed_sbm", "read_embeddings", "regularization_value",
-    "side_enhance", "train_classifier", "update_x", "update_y",
-    "walk_matrix", "write_embeddings",
+    "nmi", "objective_value", "planted_attributed_sbm", "read_embeddings",
+    "regularization_value", "side_enhance", "train_classifier", "update_x",
+    "update_y", "walk_matrix", "write_embeddings",
 ]

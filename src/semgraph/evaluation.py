@@ -385,8 +385,6 @@ def evaluate(model: EmbeddingModel, g: AttributedGraph,
         raise ValueError("graph has no labels to evaluate against")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     labels = np.asarray(g.labels).ravel()
     X = model.node_vectors
     if X.shape[0] != labels.size:
@@ -406,6 +404,8 @@ def evaluate(model: EmbeddingModel, g: AttributedGraph,
                           config={"clusters": k},
                           per_repeat={"nmi": nmis, "ac": acs})
     if task == "classification":
+        if not 0.0 < train_fraction < 1.0:
+            raise ValueError("train_fraction must be in (0, 1)")
         acs, f1s = [], []
         for s in sub_seeds:
             rng = np.random.default_rng(int(s))

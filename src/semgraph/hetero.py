@@ -91,8 +91,8 @@ def combine_relations(R0, R1, R2, deltas) -> np.ndarray:
     in place, one at a time.
     """
     deltas = tuple(float(d) for d in deltas)
-    if len(deltas) != 3 or any(d < 0 for d in deltas):
-        raise ValueError("deltas must be three nonnegative reals")
+    if len(deltas) != 3 or not all(np.isfinite(d) and d >= 0 for d in deltas):
+        raise ValueError(f"need three finite nonnegative deltas: {deltas}")
     combined = mnorm(_to_dense(R0))
     combined *= deltas[0]
     for d, R in zip(deltas[1:], (R1, R2)):

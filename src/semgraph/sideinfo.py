@@ -30,7 +30,8 @@ class SideInfo:
 
     Only q_norm and s_norm are stored.  The refinement works on the n
     node rows only: `node_laplacian` is
-    lambda1*L(q_norm) + lambda2*L(s_norm), an n-by-n array.
+    lambda1*L(q_norm) + lambda2*L(s_norm), an n-by-n array built afresh
+    on each access; it is the `L` of `update_x` and `objective_value`.
 
     t1 / t2 pad the sources with zero rows and columns up to all
     `size` = n+m entities, laplacians are the Laplacians of t1 and t2,
@@ -69,7 +70,7 @@ class SideInfo:
 
 
 def modularity_matrix(g: AttributedGraph) -> np.ndarray:
-    """Q = A - d d^T / (2e) over nodes; every row sums to zero exactly.
+    """Q = A - d d^T / (2e) over nodes; every row sums to zero to rounding.
 
     Q is the one n-by-n array made: -d d^T / (2e) is filled in place and
     the adjacency's stored entries are added to it.
@@ -121,53 +122,57 @@ def build_side_info(g: AttributedGraph, lambdas=(1.0, 1.0)) -> SideInfo:
     if len(lambdas) != 2:
         raise ValueError("exactly two source weights expected")
     lam = (float(lambdas[0]), float(lambdas[1]))
-    if lam[0] < 0 or lam[1] < 0:
-        raise ValueError("source weights must be non-negative")
+    if not all(np.isfinite(x) and x >= 0 for x in lam):
+        raise ValueError(f"lambdas must be finite and non-negative: {lam}")
     return SideInfo(q_norm=_mnorm_in_place(modularity_matrix(g)),
                     s_norm=_mnorm_in_place(attribute_cosine(g)), lambdas=lam,
                     size=g.n + g.m)
 
 
+def _penalty(X: np.ndarray, L: np.ndarray) -> float:
+    """tr(X^T L X), summed entrywise as sum(X * (L X))."""
+    return float(np.sum(X * (L @ X)))
+
+
+def _covered_rows(L: np.ndarray, size: int) -> int:
+    """Rows p of a square L that may cover only the leading p <= size."""
+    p = L.shape[0]
+    if L.shape != (p, p) or p > size:
+        raise ValueError(f"L must be square and cover at most {size} rows, "
+                         f"got shape {L.shape}")
+    return p
+
+
 def regularization_value(X: np.ndarray, T: np.ndarray) -> float:
     """Half-sum of T[i,j] * ||x_i - x_j||^2 over ordered pairs.
 
-    Evaluated through the equivalent trace form tr(X^T (D_T - T) X);
-    the tests cross-check it against a literal pairwise sum.
+    Evaluated as the trace form tr(X^T (D_T - T) X) that `objective_value`
+    adds; the tests cross-check it against a literal pairwise sum.
     """
     T = np.array(T, dtype=float)
     if not np.array_equal(T, T.T):
         raise ValueError("similarity matrix must be symmetric")
-    return float(np.trace(X.T @ _laplacian(T) @ X))
+    return _penalty(X, _laplacian(T))
 
 
 def objective_value(Z: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                    side: SideInfo | None = None) -> float:
-    """Squared reconstruction error plus the weighted Laplacian penalties.
+                    L: np.ndarray | None = None) -> float:
+    """||Z - X Y^T||_F^2 + tr(X_p^T L X_p), with X_p = X[:p].
 
-    The residual Z - X Y^T is formed in one size-by-size buffer.  The
-    sources cover the n node rows only, so the penalty is
-    tr(X_n^T L X_n) on X_n = X[:n] with the n-by-n `side.node_laplacian`
-    L, not on X with its zero-padded form.
+    L follows `update_x`: it may cover only the leading p <= size rows
+    (the n nodes, for `SideInfo.node_laplacian`) and then stands for L
+    padded with zeros.  The residual is formed 256 rows at a time, in
+    each block's own product buffer, so no size-by-size array is made.
     """
-    residual = X @ Y.T
-    np.subtract(Z, residual, out=residual)
-    value = float(np.linalg.norm(residual, "fro") ** 2)
-    del residual  # freed before the penalty builds its Laplacian
-    if side is not None:
-        nodes = X[:side.q_norm.shape[0]]
-        value += float(np.sum(nodes * (side.node_laplacian @ nodes)))
-    return value
-
-
-def objective_grad_x(Z, X, Y, L=None):
-    G = 2.0 * (X @ (Y.T @ Y) - Z @ Y)
+    value = 0.0
+    for start in range(0, Z.shape[0], 256):
+        residual = X[start:start + 256] @ Y.T
+        np.subtract(Z[start:start + 256], residual, out=residual)
+        value += float(np.vdot(residual, residual))
+        del residual  # freed before the next block's product is made
     if L is not None:
-        G = G + 2.0 * L @ X
-    return G
-
-
-def objective_grad_y(Z, X, Y):
-    return 2.0 * (Y @ (X.T @ X) - Z.T @ X)
+        value += _penalty(X[:_covered_rows(L, Z.shape[0])], L)
+    return value
 
 
 def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -187,11 +192,7 @@ def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
     for name, M in (("Z", Z), ("Y", Y), ("L", L)):
         if not np.all(np.isfinite(M)):
             raise ValueError(f"{name} contains non-finite entries")
-    size = Z.shape[0]
-    p = L.shape[0]
-    if L.shape != (p, p) or p > size:
-        raise ValueError(f"L must be square and cover at most {size} rows, "
-                         f"got shape {L.shape}")
+    p = _covered_rows(L, Z.shape[0])
     k = Y.shape[1]
     system = np.eye(p)
     system += L
@@ -214,10 +215,10 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
                  side: SideInfo) -> EmbeddingModel:
     """Refine a factorization by one round against the regularized objective.
 
-    The round recomputes X with the current Y by two Cholesky solves
-    (`update_x`, given the n-by-n `side.node_laplacian`, since the
-    penalties act on node rows only), then Y with the fresh X by the
-    exact least-squares update (`update_y`).  The objective value is
+    The round builds the n-by-n `side.node_laplacian` L once (the
+    penalties act on node rows only), recomputes X with the current Y by
+    two Cholesky solves (`update_x`), then Y with the fresh X by the exact
+    least-squares update (`update_y`).  The objective with the same L is
     logged before and after the round, with no monotonicity claim.
     """
     size = model.vectors.shape[0]
@@ -228,12 +229,12 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
             f"side info covers {side.size} entities, model has {size}")
     Z = walk.matrix
     X, Y = model.vectors, model.context
-    log.info("refinement start: objective %.6e",
-             objective_value(Z, X, Y, side))
-    X = update_x(Z, Y, side.node_laplacian)
+    L = side.node_laplacian
+    log.info("refinement start: objective %.6e", objective_value(Z, X, Y, L))
+    X = update_x(Z, Y, L)
     Y = update_y(Z, X)
     log.info("refinement round 1: objective %.6e",
-             objective_value(Z, X, Y, side))
+             objective_value(Z, X, Y, L))
     return EmbeddingModel(vectors=X, context=Y, n=model.n,
                           node_ids=list(model.node_ids),
                           attr_ids=list(model.attr_ids))

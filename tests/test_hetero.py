@@ -125,8 +125,9 @@ class TestCombineRelations:
 
     def test_negative_delta_rejected(self):
         Z = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            combine_relations(Z, Z, Z, (1.0, -0.5, 0.0))
+        for bad in (-0.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="deltas"):
+                combine_relations(Z, Z, Z, (1.0, bad, 0.0))
 
     def test_wrong_arity_rejected(self):
         Z = np.zeros((1, 1))

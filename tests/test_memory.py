@@ -4,13 +4,15 @@ On a planted graph of N = 1504 entities (the embed-sparse benchmark
 shape), each stage is held to a bound that the whole-matrix forms it
 replaced break: `build_hetero_adjacency` read 2.45 N^2, `walk_matrix`
 3.02 N^2 and `side_enhance` 4.0 N^2 (on top of the walk matrix, which it
-is given).  Column blocks, in-place accumulation and the node-block
-Cholesky bring them to about 1.25, 1.16 and 1.09.  With the combined
-graph B counted, live across the walk, a dense B read 2.15 N^2; B held
-as CSR brings it to about 1.25, the peak of building B.
+is given).  Column blocks, in-place accumulation, the node-block
+Cholesky and one node Laplacian per round bring them to about 1.25, 1.16
+and 0.95.  With the combined graph B counted, live across the walk, a
+dense B read 2.15 N^2; B held as CSR brings it to about 1.25, the peak
+of building B.  `objective_value`, given its L, read 1.00 N^2 with a
+whole residual; residual row blocks of 256 bring it to about 0.17.
 
 Whole commands, run through `cli.main` from the TSV files, peak at about
-1.68 N^2 (`embed`) and 3.08 N^2 (`enhance`); their bounds leave the same
+1.68 N^2 (`embed`) and 2.97 N^2 (`enhance`); their bounds leave the same
 headroom, about 1.3 times, and one more N-by-N array breaks either.
 """
 
@@ -19,7 +21,8 @@ import tracemalloc
 import pytest
 
 from semgraph import (build_hetero_adjacency, build_side_info, factorize,
-                      planted_attributed_sbm, side_enhance, walk_matrix)
+                      objective_value, planted_attributed_sbm, side_enhance,
+                      walk_matrix)
 from semgraph.cli import main
 
 
@@ -66,6 +69,14 @@ def test_side_enhance_peak(planted):
     model = factorize(walk, 16)
     side = build_side_info(g)
     assert _peak_multiple(g.n + g.m, side_enhance, model, walk, side) <= 2.5
+
+
+def test_objective_peak(planted):
+    g, _, walk = planted
+    model = factorize(walk, 16)
+    L = build_side_info(g).node_laplacian
+    assert _peak_multiple(g.n + g.m, objective_value, walk.matrix,
+                          model.vectors, model.context, L) <= 0.22
 
 
 @pytest.fixture(scope="module")

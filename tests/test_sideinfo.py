@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from semgraph import (AttributedGraph, WalkMatrix, attribute_cosine,
+from semgraph import (AttributedGraph, SideInfo, WalkMatrix, attribute_cosine,
                       build_side_info, embed, modularity_matrix,
-                      objective_grad_x, objective_grad_y, objective_value,
-                      regularization_value, side_enhance, update_x, update_y)
+                      objective_value, regularization_value, side_enhance,
+                      update_x, update_y)
 
 
 def _graph(A, R, **kwargs):
@@ -138,8 +138,10 @@ class TestBuildSideInfo:
         assert all(a.shape == (g.n, g.n) for a in arrays)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            build_side_info(_triangle(), lambdas=(-1.0, 0.0))
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            for lambdas in ((bad, 0.0), (1.0, bad)):
+                with pytest.raises(ValueError, match="lambdas"):
+                    build_side_info(_triangle(), lambdas=lambdas)
 
     def test_two_weights_required(self):
         with pytest.raises(ValueError):
@@ -203,7 +205,7 @@ class TestUpdates:
             Y = update_y(Z, X)
             resid = np.linalg.norm(Y @ (X.T @ X) - Z.T @ X)
             assert resid <= 1e-8 * (1.0 + np.linalg.norm(Z.T @ X))
-            grad = objective_grad_y(Z, X, Y)
+            grad = oracles.objective_grad_y(Z, X, Y)
             assert np.linalg.norm(grad) <= 1e-8 * (
                 1.0 + np.linalg.norm(Z.T @ X))
 
@@ -276,8 +278,8 @@ class TestGradients:
             def f_y(M):
                 return np.linalg.norm(Z - X @ M.T) ** 2
 
-            gx = objective_grad_x(Z, X, Y, L)
-            gy = objective_grad_y(Z, X, Y)
+            gx = oracles.objective_grad_x(Z, X, Y, L)
+            gy = oracles.objective_grad_y(Z, X, Y)
             nx = oracles.numeric_grad(f_x, X)
             ny = oracles.numeric_grad(f_y, Y)
             assert np.linalg.norm(gx - nx) / np.linalg.norm(nx) <= 1e-5
@@ -333,12 +335,45 @@ class TestSideEnhance:
         with pytest.raises(ValueError, match="side info"):
             side_enhance(ablated, walk_abl, side)
 
+    def test_node_laplacian_built_once(self, monkeypatch):
+        _, walk, model, side = self._setup()
+        build = SideInfo.node_laplacian.fget
+        reads = []
+
+        def counted(self):
+            reads.append(1)
+            return build(self)
+
+        monkeypatch.setattr(SideInfo, "node_laplacian", property(counted))
+        side_enhance(model, walk, side)
+        assert len(reads) == 1
+
     def test_objective_value_includes_penalty(self):
         _, walk, model, side = self._setup()
         Z, X, Y = walk.matrix, model.vectors, model.context
         base = objective_value(Z, X, Y)
-        full = objective_value(Z, X, Y, side)
+        full = objective_value(Z, X, Y, side.node_laplacian)
         manual = base
         for lam, T in zip(side.lambdas, (side.t1, side.t2)):
             manual += lam * regularization_value(X, T)
         assert abs(full - manual) <= 1e-10 * max(1.0, abs(manual))
+
+        # both Ls cover the leading p < size rows and penalize X[:p] only;
+        # at 600 rows the residual spans several row blocks
+        cases = [(Z, X, Y, side.node_laplacian)]
+        rng = np.random.default_rng(13)
+        size, p, k = 600, 450, 4
+        T = rng.random((p, p))
+        T = (T + T.T) / 2
+        cases.append((rng.normal(size=(size, size)),
+                      rng.normal(size=(size, k)), rng.normal(size=(size, k)),
+                      np.diag(T.sum(axis=1)) - T))
+        for Z, X, Y, L in cases:
+            p = L.shape[0]
+            assert p < Z.shape[0]
+            expect = (np.linalg.norm(Z - X @ Y.T) ** 2
+                      + np.trace(X[:p].T @ L @ X[:p]))
+            got = objective_value(Z, X, Y, L)
+            assert abs(got - expect) <= 1e-12 * abs(expect)
+        with pytest.raises(ValueError, match="L must"):
+            objective_value(Z, X, Y, np.zeros((size + 1, size + 1)))

@@ -120,13 +120,19 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
     return best
 
 
-def _contingency(a, b):
+def _label_pair(a, b):
+    """Both label arrays, flattened, of one non-zero length."""
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.size != b.size:
-        raise ValueError(f"partition lengths differ: {a.size} vs {b.size}")
+        raise ValueError(f"label lengths differ: {a.size} vs {b.size}")
     if a.size == 0:
-        raise ValueError("empty partitions")
+        raise ValueError("empty label arrays")
+    return a, b
+
+
+def _contingency(a, b):
+    a, b = _label_pair(a, b)
     avals, ai = np.unique(a, return_inverse=True)
     bvals, bi = np.unique(b, return_inverse=True)
     table = np.zeros((avals.size, bvals.size))
@@ -184,22 +190,14 @@ def clustering_accuracy(pred, truth) -> float:
 
 
 def accuracy(pred, truth) -> float:
-    pred = np.asarray(pred).ravel()
-    truth = np.asarray(truth).ravel()
-    if pred.size != truth.size:
-        raise ValueError(f"length mismatch: {pred.size} vs {truth.size}")
-    if pred.size == 0:
-        raise ValueError("empty label arrays")
+    pred, truth = _label_pair(pred, truth)
     return float(np.mean(pred == truth))
 
 
 def macro_f1(pred, truth, classes=None) -> float:
     """Unweighted mean of per-class F1; a class absent from both sides
     contributes 0."""
-    pred = np.asarray(pred).ravel()
-    truth = np.asarray(truth).ravel()
-    if pred.size != truth.size:
-        raise ValueError(f"length mismatch: {pred.size} vs {truth.size}")
+    pred, truth = _label_pair(pred, truth)
     if classes is None:
         classes = np.union1d(pred, truth)
     scores = []

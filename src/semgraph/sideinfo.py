@@ -26,24 +26,32 @@ _PINV_RCOND = 1e-12
 
 @dataclass(frozen=True)
 class SideInfo:
-    """The two normalized n-by-n similarity sources and their weights.
+    """The graph whose two similarity sources regularize, and their weights.
 
-    Only q_norm and s_norm are stored.  The refinement works on the n
-    node rows only: `node_laplacian` is
-    lambda1*L(q_norm) + lambda2*L(s_norm), an n-by-n array built afresh
-    on each access; it is the `L` of `update_x` and `objective_value`.
-
-    t1 / t2 pad the sources with zero rows and columns up to all
-    `size` = n+m entities, laplacians are the Laplacians of t1 and t2,
-    and combined is `node_laplacian` padded the same way.  These are
-    derived on each access, as size-by-size arrays, for callers that
-    want the padded form; the refinement itself never builds them.
+    Nothing n-by-n is stored.  q_norm and s_norm, the mnorm-ed modularity
+    matrix and attribute cosine, are built on each access, and so is
+    `node_laplacian` = lambda1*L(q_norm) + lambda2*L(s_norm), with at most
+    two n-by-n arrays alive; it is the `L` of `update_x` and
+    `objective_value`.  t1 and t2 are the sources, laplacians their
+    Laplacians and combined `node_laplacian`, each padded with zeros up
+    to all `size` = n+m entities for callers that want that form; the
+    refinement never builds them.
     """
 
-    q_norm: np.ndarray
-    s_norm: np.ndarray
+    graph: AttributedGraph
     lambdas: tuple[float, float]
-    size: int
+
+    @property
+    def size(self) -> int:
+        return self.graph.n + self.graph.m
+
+    @property
+    def q_norm(self) -> np.ndarray:
+        return _mnorm_in_place(modularity_matrix(self.graph))
+
+    @property
+    def s_norm(self) -> np.ndarray:
+        return _mnorm_in_place(attribute_cosine(self.graph))
 
     @property
     def t1(self) -> np.ndarray:
@@ -64,8 +72,11 @@ class SideInfo:
     @property
     def node_laplacian(self) -> np.ndarray:
         lam1, lam2 = self.lambdas
-        T = self.q_norm * lam1
-        T += self.s_norm * lam2
+        # s first, so its n-by-m temporaries are freed before q is made
+        S, T = self.s_norm, self.q_norm
+        T *= lam1
+        S *= lam2
+        T += S
         return _laplacian(T)
 
 
@@ -75,8 +86,7 @@ def modularity_matrix(g: AttributedGraph) -> np.ndarray:
     Q is the one n-by-n array made: -d d^T / (2e) is filled in place and
     the adjacency's stored entries are added to it.
     """
-    if g.e == 0:
-        raise ValueError("modularity is undefined for an edgeless graph")
+    _require_edges(g)
     adjacency = g.adjacency.tocoo()
     d = adjacency.sum(axis=1)
     Q = np.outer(d, d)
@@ -93,10 +103,9 @@ def attribute_cosine(g: AttributedGraph) -> np.ndarray:
     included, rather than propagating division by zero.  numpy forms
     `unit @ unit.T` by a symmetric rank-k update: it is exactly symmetric.
     """
-    R = g.attr_weights.toarray().astype(float)
-    norms = np.linalg.norm(R, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = R / safe[:, None]
+    unit = g.attr_weights.toarray().astype(float)
+    norms = np.linalg.norm(unit, axis=1)
+    unit /= np.where(norms > 0, norms, 1.0)[:, None]
     sim = unit @ unit.T
     sim[norms == 0, :] = 0.0
     sim[:, norms == 0] = 0.0
@@ -117,16 +126,20 @@ def _laplacian(T: np.ndarray) -> np.ndarray:
     return T
 
 
+def _require_edges(g: AttributedGraph) -> None:
+    if g.e == 0:
+        raise ValueError("modularity is undefined for an edgeless graph")
+
+
 def build_side_info(g: AttributedGraph, lambdas=(1.0, 1.0)) -> SideInfo:
-    """Normalize both sources; they cover n+m entities once padded."""
+    """Check the weights and the graph; the sources are built on use."""
     if len(lambdas) != 2:
         raise ValueError("exactly two source weights expected")
     lam = (float(lambdas[0]), float(lambdas[1]))
     if not all(np.isfinite(x) and x >= 0 for x in lam):
         raise ValueError(f"lambdas must be finite and non-negative: {lam}")
-    return SideInfo(q_norm=_mnorm_in_place(modularity_matrix(g)),
-                    s_norm=_mnorm_in_place(attribute_cosine(g)), lambdas=lam,
-                    size=g.n + g.m)
+    _require_edges(g)
+    return SideInfo(graph=g, lambdas=lam)
 
 
 def _penalty(X: np.ndarray, L: np.ndarray) -> float:
@@ -219,7 +232,10 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
     penalties act on node rows only), recomputes X with the current Y by
     two Cholesky solves (`update_x`), then Y with the fresh X by the exact
     least-squares update (`update_y`).  The objective with the same L is
-    logged before and after the round, with no monotonicity claim.
+    logged before and after the round, and it can rise: `update_x` is the
+    literal (I + L)^-1 Z Y (Y^T Y + I_k)^-1, whose X solves
+    (I + L) X (Y^T Y + I_k) = Z Y, not the stationarity condition
+    X Y^T Y + L X = Z Y of ||Z - X Y^T||_F^2 + tr(X_n^T L X_n).
     """
     size = model.vectors.shape[0]
     if walk.matrix.shape[0] != size:

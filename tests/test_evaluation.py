@@ -175,6 +175,11 @@ class TestPointMetrics:
         with pytest.raises(ValueError):
             macro_f1([0], [0, 1])
 
+    def test_empty_rejected(self):
+        for score in (accuracy, macro_f1):
+            with pytest.raises(ValueError, match="empty"):
+                score([], [])
+
 
 class TestClassifier:
     def test_linearly_separable(self):

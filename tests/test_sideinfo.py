@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -133,9 +134,7 @@ class TestBuildSideInfo:
         assert side.q_norm.shape == (g.n, g.n)
         assert side.q_norm.min() >= 0.0 and side.q_norm.max() <= 1.0
         stored = [getattr(side, f.name) for f in dataclasses.fields(side)]
-        arrays = [v for v in stored if isinstance(v, np.ndarray)]
-        assert len(arrays) == 2
-        assert all(a.shape == (g.n, g.n) for a in arrays)
+        assert not any(isinstance(v, np.ndarray) for v in stored)
 
     def test_negative_lambda_rejected(self):
         for bad in (-1.0, np.nan, np.inf, -np.inf):
@@ -146,6 +145,13 @@ class TestBuildSideInfo:
     def test_two_weights_required(self):
         with pytest.raises(ValueError):
             build_side_info(_triangle(), lambdas=(1.0, 1.0, 1.0))
+
+    def test_edgeless_rejected(self):
+        g = _graph(np.zeros((2, 2)), np.ones((2, 1)))
+        with pytest.raises(ValueError) as raised:
+            modularity_matrix(g)
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            build_side_info(g)
 
 
 class TestRegularizationValue:

@@ -33,12 +33,12 @@ class Clustering:
     inertia: float
 
 
-def _pp_centers(points, k, rng):
+def _pp_centers(points, k, rng, sq_norms):
     # distance-weighted seeding: first uniform, rest proportional to D^2
     N = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(N)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _sqdist(points, centers[:1], sq_norms)[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -46,21 +46,61 @@ def _pp_centers(points, k, rng):
         else:
             idx = rng.integers(N)
         centers[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sqdist(points, centers[j:j + 1], sq_norms)[:, 0])
     return centers
 
 
 def _sqdist(points, centers, sq_norms):
     """Squared distances; sq_norms is (points ** 2).sum(axis=1)."""
-    d2 = sq_norms[:, None] \
-        - 2.0 * points @ centers.T \
-        + (centers ** 2).sum(axis=1)[None, :]
-    return np.maximum(d2, 0.0)
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += (centers ** 2).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _repair_empty(assignment, counts, d2):
+    """Refill empty clusters of one restart in place, each with the point
+    farthest from its center in the currently largest cluster."""
+    while (counts == 0).any():
+        empty = int(np.flatnonzero(counts == 0)[0])
+        big = int(np.argmax(counts))
+        members = np.flatnonzero(assignment == big)
+        victim = members[np.argmax(d2[members, big])]
+        assignment[victim] = empty
+        counts[big] -= 1
+        counts[empty] += 1
+
+
+def _member_means(points, labels, counts):
+    """Row j is the mean of the points labeled j; counts[j] > 0 is their
+    number.  Each mean sums its members in index order, exactly as
+    points[labels == j].mean(axis=0) does."""
+    # a stable sort lines each label's members up in index order; numpy
+    # sorts small integer types by radix
+    small = labels.astype(np.min_scalar_type(counts.size))
+    members = points[np.argsort(small, kind="stable")]
+    sums = np.empty((counts.size, points.shape[1]))
+    start = 0
+    for label, end in enumerate(np.cumsum(counts).tolist()):
+        np.add.reduce(members[start:end], axis=0, out=sums[label])
+        start = end
+    return sums / counts[:, None]
 
 
 def kmeans(points, k: int, seed: int, restarts: int = 10,
            max_iter: int = 300) -> Clustering:
     """Lloyd's algorithm, ++ seeding, best of `restarts` by within-cluster SSQ.
+
+    Every restart is seeded first, in order, from one generator.  Lloyd
+    draws nothing from it, so each restart starts from the centers it
+    would get if the restarts ran one after another.  The restarts whose
+    assignment still changes then iterate together, with one distance
+    product per iteration for all of them.  Each center is the mean of its
+    members, summed in index order, and each restart's final SSQ comes
+    from a product with its own k centers alone, so it does not depend on
+    how many restarts ran together.  The best restart is the first with
+    the least SSQ.
 
     Empty clusters are repaired by stealing the point farthest from its
     center out of the currently largest cluster, so every restart returns
@@ -73,7 +113,7 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
         raise ValueError("points must be a 2-d array")
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain non-finite values")
-    N = points.shape[0]
+    N, d = points.shape
     if not 1 <= k <= N:
         raise ValueError(f"k must be in [1, {N}], got {k}")
     if restarts < 1:
@@ -83,41 +123,42 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
 
     sq_norms = (points ** 2).sum(axis=1)
     rng = np.random.default_rng(seed)
-    best = None
-    unconverged = 0
-    for _ in range(restarts):
-        centers = _pp_centers(points, k, rng)
-        assignment = None
-        for _ in range(max_iter):
-            d2 = _sqdist(points, centers, sq_norms)
-            new_assignment = np.argmin(d2, axis=1)
-            counts = np.bincount(new_assignment, minlength=k)
-            while (counts == 0).any():
-                empty = int(np.flatnonzero(counts == 0)[0])
-                big = int(np.argmax(counts))
-                members = np.flatnonzero(new_assignment == big)
-                victim = members[np.argmax(d2[members, big])]
-                new_assignment[victim] = empty
-                counts[big] -= 1
-                counts[empty] += 1
-            if assignment is not None and np.array_equal(new_assignment,
-                                                         assignment):
+    centers = np.stack([_pp_centers(points, k, rng, sq_norms)
+                        for _ in range(restarts)])
+    assignment = np.empty((restarts, N), dtype=np.intp)
+    offsets = k * np.arange(restarts)[:, None]  # one label range per restart
+    moving = np.arange(restarts)  # restarts whose assignment last changed
+    for step in range(max_iter):
+        m = moving.size
+        d2 = _sqdist(points, centers[moving].reshape(-1, d), sq_norms)
+        d2 = d2.reshape(N, m, k)
+        new = d2.argmin(axis=2).T
+        counts = np.bincount((new + offsets[:m]).ravel(), minlength=m * k)
+        counts = counts.reshape(m, k)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            _repair_empty(new[i], counts[i], d2[:, i])
+        if step:
+            changed = (new != assignment[moving]).any(axis=1)
+            moving, new, counts = (moving[changed], new[changed],
+                                   counts[changed])
+            if not moving.size:
                 break
-            assignment = new_assignment
-            for j in range(k):
-                centers[j] = points[assignment == j].mean(axis=0)
-        else:
-            unconverged += 1
-        d2 = _sqdist(points, centers, sq_norms)
-        inertia = float(d2[np.arange(N), assignment].sum())
-        if best is None or inertia < best.inertia:
-            best = Clustering(assignment=assignment.copy(), k=k,
-                              centers=centers.copy(), inertia=inertia)
+        assignment[moving] = new
+        for r, row, count in zip(moving, new, counts):
+            centers[r] = _member_means(points, row, count)
+    unconverged = moving.size
+    # one product per restart: a batched product rounds differently, and
+    # restarts that reach the same partition would break their tie anew
+    inertia = [_sqdist(points, c, sq_norms)[np.arange(N), a].sum()
+               for c, a in zip(centers, assignment)]
+    best = int(np.argmin(inertia))
     if unconverged:
         log.warning("kmeans: %d of %d restarts stopped at max_iter=%d "
                     "before the assignment settled", unconverged, restarts,
                     max_iter)
-    return best
+    return Clustering(assignment=assignment[best].copy(), k=k,
+                      centers=centers[best].copy(),
+                      inertia=float(inertia[best]))
 
 
 def _label_pair(a, b):
@@ -167,25 +208,40 @@ def nmi(a, b) -> float:
     return float(min(1.0, max(0.0, info / ((ha + hb) / 2.0))))
 
 
-def match_clusters(pred, truth) -> dict:
-    """Optimal cluster-to-class map (Hungarian on the contingency table).
+def _max_matching(table):
+    """Row and column indices, rows ascending, of a maximum-weight
+    matching of min(rows, cols) pairs in a nonnegative table.
 
-    Returns {predicted cluster value: matched truth value}; clusters left
-    unmatched when there are more clusters than classes are absent.
+    LAPJVsp matches only stored entries, so it runs on table + 1, where
+    every pair is one.  Each full matching has min(rows, cols) pairs, so
+    the shift adds the same constant to all of them and keeps the optimum.
     """
-    from scipy.optimize import linear_sum_assignment  # deferred: slow import
+    # deferred: only the clustering metrics need the solver
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+    return min_weight_full_bipartite_matching(csr_array(table + 1.0),
+                                              maximize=True)
+
+
+def match_clusters(pred, truth) -> dict:
+    """Optimal cluster-to-class map: a maximum-weight matching of the
+    contingency table, which scipy.sparse.csgraph solves by LAPJVsp.
+
+    Returns {predicted cluster value: matched truth value}, in ascending
+    cluster order; clusters left unmatched when there are more clusters
+    than classes are absent.
+    """
     table, pvals, tvals = _contingency(pred, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    rows, cols = _max_matching(table)
     return {pvals[r]: tvals[c] for r, c in zip(rows, cols)}
 
 
 def clustering_accuracy(pred, truth) -> float:
-    """Fraction correct after the optimal cluster-to-class matching."""
-    from scipy.optimize import linear_sum_assignment  # deferred: slow import
-
+    """Fraction correct after the optimal cluster-to-class matching (see
+    `match_clusters`)."""
     table, _, _ = _contingency(pred, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    rows, cols = _max_matching(table)
     return float(table[rows, cols].sum() / table.sum())
 
 

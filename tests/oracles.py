@@ -165,6 +165,75 @@ def numeric_grad(f, X, step=1e-6):
     return G
 
 
+# --------------------------------------------------------------- k-means
+
+def _pp_centers(points, k, rng):
+    # distance-weighted seeding: first uniform, rest proportional to D^2
+    N = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(N)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(N, p=d2 / total)
+        else:
+            idx = rng.integers(N)
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _sqdist(points, centers, sq_norms):
+    """Squared distances; sq_norms is (points ** 2).sum(axis=1)."""
+    d2 = sq_norms[:, None] \
+        - 2.0 * points @ centers.T \
+        + (centers ** 2).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0)
+
+
+def kmeans_per_restart(points, k, seed, restarts=10, max_iter=300):
+    """`semgraph.kmeans` one restart at a time, as it was written before
+    the restarts were batched: seeding and Lloyd alternate per restart,
+    and each center is the mean of its members.  Returns the best
+    restart's (assignment, centers, inertia) and the count of restarts
+    that stopped at max_iter, which the package logs instead."""
+    points = np.asarray(points, dtype=float)
+    N = points.shape[0]
+    sq_norms = (points ** 2).sum(axis=1)
+    rng = np.random.default_rng(seed)
+    best = None
+    unconverged = 0
+    for _ in range(restarts):
+        centers = _pp_centers(points, k, rng)
+        assignment = None
+        for _ in range(max_iter):
+            d2 = _sqdist(points, centers, sq_norms)
+            new_assignment = np.argmin(d2, axis=1)
+            counts = np.bincount(new_assignment, minlength=k)
+            while (counts == 0).any():
+                empty = int(np.flatnonzero(counts == 0)[0])
+                big = int(np.argmax(counts))
+                members = np.flatnonzero(new_assignment == big)
+                victim = members[np.argmax(d2[members, big])]
+                new_assignment[victim] = empty
+                counts[big] -= 1
+                counts[empty] += 1
+            if assignment is not None and np.array_equal(new_assignment,
+                                                         assignment):
+                break
+            assignment = new_assignment
+            for j in range(k):
+                centers[j] = points[assignment == j].mean(axis=0)
+        else:
+            unconverged += 1
+        d2 = _sqdist(points, centers, sq_norms)
+        inertia = float(d2[np.arange(N), assignment].sum())
+        if best is None or inertia < best[2]:
+            best = (assignment.copy(), centers.copy(), inertia)
+    return best, unconverged
+
+
 # --------------------------------------------------------------- metrics
 
 def nmi_oracle(a, b):
@@ -185,20 +254,29 @@ def nmi_oracle(a, b):
     return min(1.0, max(0.0, info / ((ha + hb) / 2)))
 
 
+def max_matching_bruteforce(table):
+    """Largest total of min(rows, cols) cells of a nonnegative table, no
+    two in one row or column: every permutation of the zero-padded square."""
+    table = np.asarray(table, dtype=float)
+    size = max(table.shape)
+    square = np.zeros((size, size))
+    square[:table.shape[0], :table.shape[1]] = table
+    best = 0.0
+    for perm in itertools.permutations(range(size)):
+        best = max(best, sum(square[i, perm[i]] for i in range(size)))
+    return best
+
+
 def matched_accuracy_bruteforce(pred, truth):
     """Try every injective cluster-to-class assignment."""
     pred = list(pred)
     truth = list(truth)
     clusters = sorted(set(pred))
     classes = sorted(set(truth))
-    size = max(len(clusters), len(classes))
-    table = np.zeros((size, size))
+    table = np.zeros((len(clusters), len(classes)))
     for p, t in zip(pred, truth):
         table[clusters.index(p), classes.index(t)] += 1
-    best = 0.0
-    for perm in itertools.permutations(range(size)):
-        best = max(best, sum(table[i, perm[i]] for i in range(size)))
-    return best / len(pred)
+    return max_matching_bruteforce(table) / len(pred)
 
 
 def macro_f1_oracle(pred, truth):

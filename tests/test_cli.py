@@ -325,26 +325,32 @@ class TestFailures:
 
 class TestImportCost:
     @staticmethod
-    def _loaded_after_cli_import(module):
-        probe = f"import sys, semgraph.cli; print({module!r} in sys.modules)"
+    def _loaded_after(module, code="import semgraph.cli"):
+        probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                              check=True, capture_output=True, text=True)
         return out.stdout.strip()
 
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        """Only the clustering metrics use scipy.optimize; `embed` and
-        `eval-classify` must not pay for importing it."""
-        assert self._loaded_after_cli_import("scipy.optimize") == "False"
+        """No command needs scipy.optimize (the clustering metrics match
+        through scipy.sparse.csgraph), so none pays for importing it."""
+        assert self._loaded_after("scipy.optimize") == "False"
+
+    def test_clustering_metrics_leave_scipy_optimize_unloaded(self):
+        code = ("from semgraph import clustering_accuracy, match_clusters\n"
+                "clustering_accuracy([0, 0, 1, 2], [1, 1, 0, 0])\n"
+                "match_clusters([0, 0, 1, 2], [1, 1, 0, 0])")
+        assert self._loaded_after("scipy.optimize", code) == "False"
 
     def test_cli_import_leaves_scipy_sparse_linalg_unloaded(self):
         """Only the Lanczos branch of `factorize` uses scipy.sparse.linalg;
         runs that take dense `eigh` must not pay for importing it."""
-        assert self._loaded_after_cli_import("scipy.sparse.linalg") == "False"
+        assert self._loaded_after("scipy.sparse.linalg") == "False"
 
     def test_cli_import_leaves_scipy_special_unloaded(self):
         """The classifier's sigmoid is written with numpy; no command
         pays for importing scipy.special."""
-        assert self._loaded_after_cli_import("scipy.special") == "False"
+        assert self._loaded_after("scipy.special") == "False"
 
 
 class TestSelftestAndParser:

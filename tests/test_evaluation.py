@@ -9,7 +9,8 @@ from semgraph import (AttributedGraph, EmbeddingModel, accuracy, classify,
                       clustering_accuracy, embed, evaluate, kmeans, macro_f1,
                       match_clusters, nmi, planted_attributed_sbm,
                       train_classifier)
-from semgraph.evaluation import logistic_grad, logistic_loss
+from semgraph import evaluation
+from semgraph.evaluation import _max_matching, logistic_grad, logistic_loss
 
 
 class TestKmeans:
@@ -74,6 +75,92 @@ class TestKmeans:
         pts = np.random.default_rng(5).normal(size=(10, 2))
         with pytest.raises(ValueError, match="max_iter"):
             kmeans(pts, 2, seed=0, max_iter=0)
+
+
+def _blobs(seed):
+    """Well-separated Gaussian blobs; k, dimension and sizes from seed."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 7))
+    centers = rng.normal(scale=20.0, size=(k, int(rng.integers(2, 10))))
+    pts = np.vstack([c + rng.normal(size=(int(rng.integers(5, 40)), c.size))
+                     for c in centers])
+    return pts, k
+
+
+class TestKmeansMatchesPerRestart:
+    """The batched restarts against `oracles.kmeans_per_restart`, the
+    restarts run one by one: same assignment, same SSQ to 1e-12."""
+
+    @staticmethod
+    def _check(points, k, seed, **kwargs):
+        cl = kmeans(points, k, seed, **kwargs)
+        (assignment, _, inertia), unconverged = oracles.kmeans_per_restart(
+            points, k, seed, **kwargs)
+        assert np.array_equal(cl.assignment, assignment)
+        assert abs(cl.inertia - inertia) <= 1e-12 * inertia
+        return cl, unconverged
+
+    @pytest.mark.parametrize("restarts", [1, 10, 50])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_separated_blobs(self, seed, restarts):
+        # many restarts reach the same partition here, each labeled its
+        # own way; the first of them has to win, as it did one by one
+        pts, k = _blobs(seed)
+        self._check(pts, k, seed, restarts=restarts)
+
+    def test_planted_embedding(self):
+        model = embed(planted_attributed_sbm(nodes=400, blocks=5, seed=3))
+        for seed in range(3):
+            self._check(model.node_vectors, 5, seed)
+            self._check(model.attr_vectors, 5, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicated_points_repair_empty_clusters(self, seed,
+                                                     monkeypatch):
+        """Fewer distinct points than clusters.  Coordinates are small
+        integers, so every distance is exact in both implementations and
+        coincident centers tie exactly; both must break those ties, and
+        refill the clusters they empty, the same way."""
+        repairs = []
+        real = evaluation._repair_empty
+
+        def counted(*args):
+            repairs.append(1)
+            real(*args)
+
+        monkeypatch.setattr(evaluation, "_repair_empty", counted)
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(-3, 4, size=(3, 2)).astype(float)
+        distinct[:, 0] += 10.0 * np.arange(3)  # three distinct points
+        pts = distinct[rng.integers(0, 3, size=20)]
+        cl, _ = self._check(pts, 5, seed)
+        assert repairs
+        assert np.array_equal(np.unique(cl.assignment), np.arange(5))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_cluster_and_one_per_point(self, seed):
+        pts = np.random.default_rng(seed).normal(size=(12, 3))
+        self._check(pts, 1, seed)
+        cl, _ = self._check(pts, 12, seed)
+        assert np.array_equal(np.unique(cl.assignment), np.arange(12))
+
+    def test_iteration_cap_warns_the_same_count(self, caplog):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(200, 4))
+        counts = set()
+        for max_iter in (1, 2, 4, 8, 16, 300):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING,
+                                 logger="semgraph.evaluation"):
+                _, unconverged = self._check(pts, 6, 5, restarts=10,
+                                             max_iter=max_iter)
+            messages = [r.getMessage() for r in caplog.records]
+            assert messages == ([f"kmeans: {unconverged} of 10 restarts "
+                                 f"stopped at max_iter={max_iter} before "
+                                 "the assignment settled"]
+                                if unconverged else [])
+            counts.add(unconverged)
+        assert {0, 10} < counts  # and some caps stop part of the restarts
 
 
 class TestNmi:
@@ -141,6 +228,49 @@ class TestClusteringAccuracy:
             truth = rng.integers(0, 4, size=n)
             frac = np.bincount(truth).max() / n
             assert clustering_accuracy([0] * n, truth) == pytest.approx(frac)
+
+
+class TestMatching:
+    @staticmethod
+    def _tables():
+        """Small random contingency tables: square, wide and tall, some
+        with an all-zero row or column."""
+        rng = np.random.default_rng(8)
+        for rows, cols in [(1, 1), (3, 3), (4, 4), (2, 5), (3, 6), (5, 2),
+                           (6, 3), (1, 4), (4, 1)]:
+            for _ in range(6):
+                table = rng.integers(0, 6, size=(rows, cols)).astype(float)
+                if rng.random() < 0.4:
+                    table[rng.integers(rows)] = 0.0
+                if rng.random() < 0.4:
+                    table[:, rng.integers(cols)] = 0.0
+                yield table
+
+    def test_total_matches_bruteforce(self):
+        for table in self._tables():
+            rows, cols = _max_matching(table)
+            assert rows.size == cols.size == min(table.shape)
+            assert np.array_equal(rows, np.unique(rows))  # ascending
+            assert np.unique(cols).size == cols.size
+            assert table[rows, cols].sum() == \
+                oracles.max_matching_bruteforce(table)
+
+    def test_match_clusters_one_to_one_with_optimal_total(self):
+        rng = np.random.default_rng(9)
+        for clusters, classes in [(3, 3), (2, 4), (5, 2)]:
+            for _ in range(10):
+                pred = rng.integers(0, clusters, size=25) * 10 + 7
+                truth = rng.integers(0, classes, size=25) - 3
+                mapping = match_clusters(pred, truth)
+                assert len(mapping) == min(np.unique(pred).size,
+                                           np.unique(truth).size)
+                assert len(set(mapping.values())) == len(mapping)
+                assert list(mapping) == sorted(mapping)
+                total = sum(np.sum((pred == p) & (truth == t))
+                            for p, t in mapping.items())
+                assert total / 25 == pytest.approx(
+                    oracles.matched_accuracy_bruteforce(pred, truth))
+                assert clustering_accuracy(pred, truth) == total / 25
 
 
 class TestPointMetrics:

@@ -22,6 +22,13 @@ refine-cluster benchmark shape (N = 1060, walk order 10, refined) at
 about 2.78 N^2; their bounds leave the same headroom, about 1.3 times.
 Holding both sources for the whole round read 2.97 N^2 for `enhance`
 and 4.22 N^2 for `eval-cluster`.
+
+`tracemalloc` sees only what Python and numpy allocate, not the
+workspace LAPACK mallocs inside `numpy.linalg`, so no bound here covers
+it.  The dense `eigh` in `factorize` (N < 20 * dim, as on the
+refine-cluster and classify-small shapes) raises the process high-water
+mark (VmHWM) by about 4.5 N^2 at N = 1060 and 4.8 N^2 at N = 720, where
+`tracemalloc` reads 1.3 and 1.7 N^2; that step sets the process peak.
 """
 
 import tracemalloc

@@ -226,7 +226,9 @@ class EmbeddingFile:
 
     @property
     def vectors(self) -> np.ndarray:
-        return np.array([vec for _, vec in self.rows])
+        """Shape (len(rows), dim), also when there are no rows."""
+        return np.array([vec for _, vec in self.rows]).reshape(
+            len(self.rows), self.dim)
 
     @property
     def node_ids(self) -> list[str]:

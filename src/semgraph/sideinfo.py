@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .embedding import EmbeddingModel, WalkMatrix
 from .hetero import _mnorm_in_place
@@ -103,13 +102,10 @@ def attribute_cosine(g: AttributedGraph) -> np.ndarray:
     included, rather than propagating division by zero.  numpy forms
     `unit @ unit.T` by a symmetric rank-k update: it is exactly symmetric.
     """
-    unit = g.attr_weights.toarray().astype(float)
+    unit = g.attr_weights.toarray().astype(float, copy=False)
     norms = np.linalg.norm(unit, axis=1)
     unit /= np.where(norms > 0, norms, 1.0)[:, None]
-    sim = unit @ unit.T
-    sim[norms == 0, :] = 0.0
-    sim[:, norms == 0] = 0.0
-    return sim
+    return unit @ unit.T
 
 
 def _pad(block: np.ndarray, size: int) -> np.ndarray:
@@ -192,14 +188,17 @@ def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Regularized update of the entity factor:
     X' = (I + L)^-1 Z Y (Y^T Y + I_k)^-1.
 
-    L is a Laplacian of non-negative weights, so both system matrices are
-    symmetric positive definite with smallest eigenvalue at least 1; each
-    is applied by a Cholesky solve instead of an explicit inverse.  An
-    I + L that is not positive definite raises LinAlgError.
+    L is a Laplacian of non-negative weights, so I + L is symmetric and
+    strictly diagonally dominant: its LU factorization with partial
+    pivoting swaps no rows and its growth factor is at most 2.  Each
+    system is applied by `numpy.linalg.solve` instead of an explicit
+    inverse.  A singular I + L raises LinAlgError; an indefinite but
+    nonsingular one is solved without complaint, which cannot happen for
+    a Laplacian of non-negative weights.
 
     L may cover only the leading p <= size rows and columns: it then
     stands for L padded with zeros, and I + L is block diagonal with an
-    identity block.  Only I_p + L is factored; rows p: of the first solve
+    identity block.  Only I_p + L is solved; rows p: of the first solve
     are just (Z Y)[p:].
     """
     for name, M in (("Z", Z), ("Y", Y), ("L", L)):
@@ -209,12 +208,9 @@ def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
     k = Y.shape[1]
     system = np.eye(p)
     system += L
-    # The transpose of the C-ordered system is Fortran-ordered, so LAPACK
-    # factors it in place; its lower triangle is the upper one of I + L.
-    factor = cho_factor(system.T, lower=True, overwrite_a=True)
     left = Z @ Y
-    left[:p] = cho_solve(factor, left[:p])
-    return cho_solve(cho_factor(Y.T @ Y + np.eye(k)), left.T).T
+    left[:p] = np.linalg.solve(system, left[:p])
+    return np.linalg.solve(Y.T @ Y + np.eye(k), left.T).T
 
 
 def update_y(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -230,7 +226,7 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
 
     The round builds the n-by-n `side.node_laplacian` L once (the
     penalties act on node rows only), recomputes X with the current Y by
-    two Cholesky solves (`update_x`), then Y with the fresh X by the exact
+    two dense linear solves (`update_x`), then Y with the fresh X by the exact
     least-squares update (`update_y`).  The objective with the same L is
     logged before and after the round, and it can rise: `update_x` is the
     literal (I + L)^-1 Z Y (Y^T Y + I_k)^-1, whose X solves

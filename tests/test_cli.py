@@ -347,6 +347,17 @@ class TestImportCost:
         runs that take dense `eigh` must not pay for importing it."""
         assert self._loaded_after("scipy.sparse.linalg") == "False"
 
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        """Every dense solve goes through numpy.linalg; importing the CLI
+        must not load scipy.linalg and its second OpenBLAS."""
+        assert self._loaded_after("scipy.linalg") == "False"
+
+    def test_update_x_leaves_scipy_linalg_unloaded(self):
+        code = ("import numpy as np\n"
+                "from semgraph import update_x\n"
+                "update_x(np.eye(3), np.ones((3, 1)), np.zeros((2, 2)))")
+        assert self._loaded_after("scipy.linalg", code) == "False"
+
     def test_cli_import_leaves_scipy_special_unloaded(self):
         """The classifier's sigmoid is written with numpy; no command
         pays for importing scipy.special."""

@@ -221,6 +221,13 @@ class TestEmbeddingFiles:
         assert tags[:4] == [f"n:n{i}" for i in range(4)]
         assert tags[4:] == [f"a:w{i}" for i in range(3)]
 
+    def test_empty_file_keeps_its_dim(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("0 3\n")
+        back = read_embeddings(str(path))
+        assert back.vectors.shape == (0, 3)
+        assert back.node_ids == [] and back.attr_ids == []
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 4\nn:a 0 0 0 0\nn:b 0 0 0 0\nn:c 0 0 0 0\n")

@@ -5,7 +5,7 @@ shape), each stage is held to a bound that the whole-matrix forms it
 replaced break: `build_hetero_adjacency` read 2.45 N^2, `walk_matrix`
 3.02 N^2 and `side_enhance` 4.0 N^2 (on top of the walk matrix, which it
 is given).  Column blocks, in-place accumulation, the node-block
-Cholesky and one node Laplacian per round bring them to about 1.25, 1.16
+solve and one node Laplacian per round bring them to about 1.25, 1.16
 and 0.95.  With the combined graph B counted, live across the walk, a
 dense B read 2.15 N^2; B held as CSR brings it to about 1.25, the peak
 of building B.  `objective_value`, given its L, read 1.00 N^2 with a
@@ -25,10 +25,12 @@ and 4.22 N^2 for `eval-cluster`.
 
 `tracemalloc` sees only what Python and numpy allocate, not the
 workspace LAPACK mallocs inside `numpy.linalg`, so no bound here covers
-it.  The dense `eigh` in `factorize` (N < 20 * dim, as on the
-refine-cluster and classify-small shapes) raises the process high-water
-mark (VmHWM) by about 4.5 N^2 at N = 1060 and 4.8 N^2 at N = 720, where
-`tracemalloc` reads 1.3 and 1.7 N^2; that step sets the process peak.
+it: not the copy of I + L that the refinement's LU solve makes, nor the
+workspace of `eigh`.  The dense `eigh` in `factorize` (N < 20 * dim, as
+on the refine-cluster and classify-small shapes) raises the process
+high-water mark (VmHWM) by about 4.5 N^2 at N = 1060 and 4.8 N^2 at
+N = 720, where `tracemalloc` reads 1.3 and 1.7 N^2; that step sets the
+process peak.
 """
 
 import tracemalloc

@@ -248,6 +248,15 @@ class TestUpdates:
         with pytest.raises(ValueError, match="L must"):
             update_x(Z, Y, np.zeros((n, n + 1)))
 
+    def test_update_x_singular_system_raises(self):
+        """L = -I_p makes I_p + L zero: the solve must fail, not return."""
+        rng = np.random.default_rng(13)
+        Z = rng.normal(size=(6, 6))
+        Y = rng.normal(size=(6, 2))
+        for p in (4, 6):
+            with pytest.raises(np.linalg.LinAlgError):
+                update_x(Z, Y, -np.eye(p))
+
     def test_exact_least_squares_variant(self):
         rng = np.random.default_rng(10)
         Z = rng.normal(size=(6, 6))

@@ -209,28 +209,65 @@ def nmi(a, b) -> float:
 
 
 def _max_matching(table):
-    """Row and column indices, rows ascending, of a maximum-weight
-    matching of min(rows, cols) pairs in a nonnegative table.
+    """Row and column indices, rows ascending, columns distinct, of a
+    maximum-weight matching of min(rows, cols) pairs in a table.
 
-    LAPJVsp matches only stored entries, so it runs on table + 1, where
-    every pair is one.  Each full matching has min(rows, cols) pairs, so
-    the shift adds the same constant to all of them and keeps the optimum.
+    Kuhn's Hungarian method in its shortest-augmenting-path form (Jonker
+    and Volgenant, 1987) on the negated table, turned so that rows <=
+    columns.  Each row in turn is matched along a shortest path of
+    reduced costs; the row and column potentials keep every reduced cost
+    nonnegative and those of matched pairs zero, so each augmentation
+    keeps the matching optimal.  On integer counts every potential and
+    slack is an exact integer.  Among tied optima it returns one of them,
+    not necessarily the one another solver would pick.
     """
-    # deferred: only the clustering metrics need the solver
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
-    return min_weight_full_bipartite_matching(csr_array(table + 1.0),
-                                              maximize=True)
+    table = np.asarray(table, dtype=float)
+    turned = table.shape[0] > table.shape[1]
+    cost = -(table.T if turned else table)
+    n, m = cost.shape
+    u = np.zeros(n)
+    v = np.zeros(m + 1)  # column m is the start of every path
+    owner = np.full(m + 1, -1)  # row matched to each column
+    for i in range(n):
+        owner[m] = i
+        col = m
+        slack = np.full(m, np.inf)  # least reduced cost into each column
+        via = np.empty(m, dtype=np.intp)  # column the path came from
+        used = np.zeros(m + 1, dtype=bool)
+        while owner[col] >= 0:
+            used[col] = True
+            free = ~used[:m]
+            row = owner[col]
+            reduced = cost[row] - u[row] - v[:m]
+            closer = free & (reduced < slack)
+            slack[closer] = reduced[closer]
+            via[closer] = col
+            nxt = int(np.argmin(np.where(free, slack, np.inf)))
+            delta = slack[nxt]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            col = nxt
+        while col != m:  # flip the path back to its start
+            owner[col] = owner[via[col]]
+            col = via[col]
+    matched = np.flatnonzero(owner[:m] >= 0)
+    if turned:
+        return matched, owner[matched]
+    cols = np.empty(n, dtype=np.intp)
+    cols[owner[matched]] = matched
+    return np.arange(n), cols
 
 
 def match_clusters(pred, truth) -> dict:
     """Optimal cluster-to-class map: a maximum-weight matching of the
-    contingency table, which scipy.sparse.csgraph solves by LAPJVsp.
+    contingency table (see `_max_matching`).
 
     Returns {predicted cluster value: matched truth value}, in ascending
     cluster order; clusters left unmatched when there are more clusters
-    than classes are absent.
+    than classes are absent.  The matched total is the optimum; where
+    several matchings reach it, the map is one of them, and may differ
+    from the one scipy's sparse assignment solver (LAPJVsp) would return.
     """
     table, pvals, tvals = _contingency(pred, truth)
     rows, cols = _max_matching(table)

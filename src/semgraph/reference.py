@@ -4,7 +4,8 @@ against.
 
 Everything here trades speed for obviousness: walk proximity is assembled
 power by power from the definition, motif counts come from explicit
-instance enumeration, and random instances are drawn edge by edge.  The
+instance enumeration, the best matching of a table comes from trying every
+permutation, and random instances are drawn edge by edge.  The
 production code paths must agree with these on random inputs, so this
 module imports nothing from the rest of semgraph: a shared helper would
 let one bug pass both sides of the comparison.
@@ -56,6 +57,19 @@ def motif_enumeration(R0):
             R2[i, w] += 1
             R2[i, s] += 1
     return R1, R2
+
+
+def max_matching_bruteforce(table):
+    """Largest total of min(rows, cols) cells of a nonnegative table, no
+    two in one row or column: every permutation of the zero-padded square."""
+    table = np.asarray(table, dtype=float)
+    size = max(table.shape)
+    square = np.zeros((size, size))
+    square[:table.shape[0], :table.shape[1]] = table
+    best = 0.0
+    for perm in itertools.permutations(range(size)):
+        best = max(best, sum(square[i, perm[i]] for i in range(size)))
+    return best
 
 
 def random_connected_graph(rng, max_n=8, max_m=5):

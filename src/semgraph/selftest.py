@@ -3,9 +3,10 @@
 Run via the CLI `selftest` command.  Each suite draws many random small
 instances, compares the production implementation with the literal one in
 `reference`, and reports one line; any discrepancy fails the whole run.
-The walk and motif suites draw their instances and their expected values
-from the same `reference` oracles the test suite uses, so a deployed
-binary can be sanity-checked without a test harness present.
+The walk and motif suites draw their instances and their expected values,
+and the metric suite its optimal matchings, from the same `reference`
+oracles the test suite uses, so a deployed binary can be sanity-checked
+without a test harness present.
 """
 
 from __future__ import annotations
@@ -85,8 +86,13 @@ def _check_metrics(rng, rounds):
         if abs(nmi(a, b) - nmi(b, a)) > 1e-12:
             return 1.0, 0.0
         perm = rng.permutation(4)
-        if abs(clustering_accuracy(a, b)
-               - clustering_accuracy(perm[a], b)) > 1e-12:
+        ac = clustering_accuracy(a, b)
+        if abs(ac - clustering_accuracy(perm[a], b)) > 1e-12:
+            return 1.0, 0.0
+        # invariance alone passes a matcher that is not optimal
+        table = np.zeros((4, 3))
+        np.add.at(table, (a, b), 1.0)
+        if abs(ac - reference.max_matching_bruteforce(table) / n) > 1e-12:
             return 1.0, 0.0
     X = np.vstack([rng.normal(size=(20, 3)) + 6.0,
                    rng.normal(size=(20, 3)) - 6.0])

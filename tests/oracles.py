@@ -2,20 +2,22 @@
 
 Every computation is written from the definitions, the slow way, so
 agreement with the fast paths is meaningful.  `walk_oracle`,
-`motif_enumeration` and `random_connected_graph` are also what
-`semgraph selftest` runs, so they live once, in `semgraph.reference`, and
-are imported from there.  That module imports nothing else from semgraph
-(`tests/test_reference.py` checks this), so it stays as independent of
-the fast paths as the code below.
+`motif_enumeration`, `max_matching_bruteforce` and
+`random_connected_graph` are also what `semgraph selftest` runs, so they
+live once, in `semgraph.reference`, and are imported from there.  That
+module imports nothing else from semgraph (`tests/test_reference.py`
+checks this), so it stays as independent of the fast paths as the code
+below.  `max_matching_lapjv` keeps scipy's solver as a second reference
+for tables too large to enumerate; nothing in semgraph imports it.
 """
 
-import itertools
 from collections import Counter
 
 import numpy as np
 
 from semgraph.reference import (  # noqa: F401  (re-exported oracles)
-    motif_enumeration, random_connected_graph, walk_oracle)
+    max_matching_bruteforce, motif_enumeration, random_connected_graph,
+    walk_oracle)
 
 
 # ------------------------------------------- exact-symmetry inputs
@@ -254,17 +256,18 @@ def nmi_oracle(a, b):
     return min(1.0, max(0.0, info / ((ha + hb) / 2)))
 
 
-def max_matching_bruteforce(table):
-    """Largest total of min(rows, cols) cells of a nonnegative table, no
-    two in one row or column: every permutation of the zero-padded square."""
-    table = np.asarray(table, dtype=float)
-    size = max(table.shape)
-    square = np.zeros((size, size))
-    square[:table.shape[0], :table.shape[1]] = table
-    best = 0.0
-    for perm in itertools.permutations(range(size)):
-        best = max(best, sum(square[i, perm[i]] for i in range(size)))
-    return best
+def max_matching_lapjv(table):
+    """Row and column indices of a maximum-weight matching of min(rows,
+    cols) pairs, from scipy.sparse.csgraph's LAPJVsp (Jonker-Volgenant's
+    shortest-augmenting-path method for sparse graphs).  LAPJVsp matches
+    only stored entries, so it runs on table + 1, where every pair is one;
+    every full matching has min(rows, cols) pairs, so the shift adds one
+    constant to all of them and keeps the optimum."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    return min_weight_full_bipartite_matching(
+        csr_array(np.asarray(table, dtype=float) + 1.0), maximize=True)
 
 
 def matched_accuracy_bruteforce(pred, truth):

@@ -324,23 +324,45 @@ class TestFailures:
 
 
 class TestImportCost:
+    # scores one clustering, through both public clustering metrics
+    METRICS = ("from semgraph import clustering_accuracy, match_clusters\n"
+               "clustering_accuracy([0, 0, 1, 2], [1, 1, 0, 0])\n"
+               "match_clusters([0, 0, 1, 2], [1, 1, 0, 0])")
+
     @staticmethod
     def _loaded_after(module, code="import semgraph.cli"):
         probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                              check=True, capture_output=True, text=True)
-        return out.stdout.strip()
+        return out.stdout.splitlines()[-1]  # after what `code` prints
 
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         """No command needs scipy.optimize (the clustering metrics match
-        through scipy.sparse.csgraph), so none pays for importing it."""
+        with a numpy Hungarian solver), so none pays for importing it."""
         assert self._loaded_after("scipy.optimize") == "False"
 
     def test_clustering_metrics_leave_scipy_optimize_unloaded(self):
-        code = ("from semgraph import clustering_accuracy, match_clusters\n"
-                "clustering_accuracy([0, 0, 1, 2], [1, 1, 0, 0])\n"
-                "match_clusters([0, 0, 1, 2], [1, 1, 0, 0])")
-        assert self._loaded_after("scipy.optimize", code) == "False"
+        assert self._loaded_after("scipy.optimize", self.METRICS) == "False"
+
+    @pytest.mark.parametrize("module", ["scipy.sparse.csgraph",
+                                        "scipy.linalg"])
+    def test_clustering_metrics_leave_csgraph_and_linalg_unloaded(self,
+                                                                  module):
+        """The matching is written in numpy: scoring a clustering loads
+        neither scipy's assignment solver nor the scipy.linalg it pulls
+        in."""
+        assert self._loaded_after(module, self.METRICS) == "False"
+
+    def test_eval_cluster_leaves_scipy_linalg_unloaded(self, dataset):
+        """A whole refined `eval-cluster` run on a small graph, whose
+        factorization takes dense `eigh`, loads no second OpenBLAS
+        through scipy.linalg."""
+        paths, tmp = dataset
+        argv = ["eval-cluster", *_base_argv(paths), "--dim", "4",
+                "--lambda1", "1", "--lambda2", "1", "--repeats", "2",
+                "--out", str(tmp / "records.tsv")]
+        code = f"from semgraph import cli\nassert cli.main({argv!r}) == 0"
+        assert self._loaded_after("scipy.linalg", code) == "False"
 
     def test_cli_import_leaves_scipy_sparse_linalg_unloaded(self):
         """Only the Lanczos branch of `factorize` uses scipy.sparse.linalg;

@@ -246,14 +246,57 @@ class TestMatching:
                     table[:, rng.integers(cols)] = 0.0
                 yield table
 
+    @staticmethod
+    def _total(table):
+        """Total of `_max_matching`'s pairs, after checking their form:
+        min(rows, cols) of them, rows ascending, columns distinct.  Tied
+        optima may pair differently from an oracle, so only the total is
+        compared."""
+        rows, cols = _max_matching(table)
+        assert rows.size == cols.size == min(table.shape)
+        assert np.all(np.diff(rows) > 0)
+        assert np.unique(cols).size == cols.size
+        return table[rows, cols].sum()
+
     def test_total_matches_bruteforce(self):
         for table in self._tables():
-            rows, cols = _max_matching(table)
-            assert rows.size == cols.size == min(table.shape)
-            assert np.array_equal(rows, np.unique(rows))  # ascending
-            assert np.unique(cols).size == cols.size
-            assert table[rows, cols].sum() == \
+            assert self._total(table) == \
                 oracles.max_matching_bruteforce(table)
+
+    @pytest.mark.parametrize("rows", range(1, 7))
+    @pytest.mark.parametrize("cols", range(1, 7))
+    def test_every_shape_with_ties_matches_bruteforce(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        dup_rows = rng.integers(0, 3, size=(rows, cols)).astype(float)
+        dup_rows[-1] = dup_rows[0]
+        dup_cols = rng.integers(0, 3, size=(rows, cols)).astype(float)
+        dup_cols[:, -1] = dup_cols[:, 0]
+        tables = [np.zeros((rows, cols)), np.full((rows, cols), 4.0),
+                  dup_rows, dup_cols,
+                  *rng.integers(0, 3, size=(4, rows, cols)).astype(float)]
+        for table in tables:
+            assert self._total(table) == \
+                oracles.max_matching_bruteforce(table)
+
+    def test_real_weights_match_bruteforce(self):
+        rng = np.random.default_rng(11)
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                table = rng.random((rows, cols)) * 10.0 ** rng.integers(-3, 4)
+                assert self._total(table) == pytest.approx(
+                    oracles.max_matching_bruteforce(table), rel=1e-12)
+
+    def test_total_matches_lapjv_up_to_40(self):
+        rng = np.random.default_rng(12)
+        for case in range(200):
+            side = int(rng.integers(1, 41))
+            other = int(rng.integers(1, 41))
+            shape = [(side, side), (side, max(side, other)),
+                     (max(side, other), side)][case % 3]
+            table = rng.integers(0, [3, 50][case % 2],
+                                 size=shape).astype(float)
+            rows, cols = oracles.max_matching_lapjv(table)
+            assert self._total(table) == table[rows, cols].sum()
 
     def test_match_clusters_one_to_one_with_optimal_total(self):
         rng = np.random.default_rng(9)

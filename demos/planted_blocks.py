@@ -3,12 +3,16 @@ barely visible in the topology (intra 0.10 vs inter 0.02) but carry
 block-exclusive attributes, then cluster the embeddings with and without
 the attribute side of the graph.
 
-The topology-only ablation keeps the same pipeline but zeroes all three
-node-attribute relation weights and drops the attribute-similarity
-block, so the walk matrix reduces to the plain adjacency.
+The topology-only ablation runs the same pipeline on the same graph
+with its attribute columns removed,
+`dataclasses.replace(g, attr_weights=sparse.csr_array((g.n, 0)),
+attr_ids=[])`, so the combined graph is the plain adjacency.
 """
 
+import dataclasses
+
 import numpy as np
+from scipy import sparse
 
 from semgraph import embed, kmeans, nmi, planted_attributed_sbm
 
@@ -18,7 +22,8 @@ labels = np.asarray(g.labels)
 print(f"planted graph: n={g.n}, e={g.e}, m={g.m}, {g.c} blocks")
 
 full = embed(g)                                             # defaults
-bare = embed(g, deltas=(0.0, 0.0, 0.0), attr_similarity=False)
+bare = embed(dataclasses.replace(g, attr_weights=sparse.csr_array((g.n, 0)),
+                                 attr_ids=[]))                # topology only
 
 rows = []
 for seed in range(20):

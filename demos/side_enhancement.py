@@ -28,8 +28,9 @@ for lams in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (10.0, 10.0)]:
     refined = side_enhance(base, walk, side)
     X, Y = refined.vectors, refined.context
     fit = float(np.linalg.norm(walk.matrix - X @ Y.T) ** 2)
-    p1 = regularization_value(X, side.t1)
-    p2 = regularization_value(X, side.t2)
+    # both penalties act on the node rows only
+    p1 = regularization_value(X[:g.n], side.q_norm)
+    p2 = regularization_value(X[:g.n], side.s_norm)
     print(f"{lams[0]:8.1f} {lams[1]:8.1f} {fit:12.4f} {p1:12.4f} {p2:12.4f}")
 
 # the total objective before/after each pass is also in the INFO log above

@@ -4,10 +4,12 @@ Subcommands cover the full workflow: `embed` and `enhance` produce
 embedding files, `eval-cluster` / `eval-classify` score them against
 labels, `describe` emits community keyword blocks, and `selftest` runs
 the built-in oracle suites.  Identical flags and inputs give
-byte-identical artifacts for a fixed BLAS configuration; errors exit 1
-with a single "error<TAB>reason" line on stderr.  BLAS thread count is
-controlled by the usual environment variables (OMP_NUM_THREADS and
-friends), never by flags.
+byte-identical artifacts for a fixed BLAS configuration.  A failing run
+exits 1 with a single "error<TAB>reason" line on stderr; usage errors
+(an unknown flag, a malformed value such as `--dim abc`, a missing
+required flag such as `--labels` on `eval-*`) are argparse's, which
+prints usage and exits 2.  BLAS thread count is controlled by the usual
+environment variables (OMP_NUM_THREADS and friends), never by flags.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ def _input_flags(parser, labels_required=False):
                         help="attributes: 'node<TAB>attr[<TAB>weight]' lines")
     parser.add_argument("--labels", required=labels_required,
                         default=None,
-                        help="labels: 'node<TAB>class' lines")
+                        help="labels: 'node<TAB>class' lines; embed and "
+                             "enhance load and validate them but do not "
+                             "use them")
 
 
 def _pipeline_flags(parser):
@@ -54,7 +58,9 @@ def _pipeline_flags(parser):
     parser.add_argument("--weighted-motifs", action="store_true",
                         help="scale motif counts by attribute weights")
     parser.add_argument("--seed", type=int, default=0,
-                        help="master RNG seed (default 0)")
+                        help="master seed of the eval-* repeats and the "
+                             "describe clusterings (default 0); embed and "
+                             "enhance are deterministic and do not read it")
 
 
 def _lambda_flags(parser, default=(0.0, 0.0)):
@@ -98,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="protocol repetitions (default 100)")
         p.add_argument("--train-frac", type=float, default=0.1,
                        help="train fraction for classification "
-                            "(default 0.1)")
+                            "(default 0.1); eval-cluster ignores it")
         p.add_argument("--out", default=None,
                        help="also write metric<TAB>value records here")
 

@@ -211,12 +211,11 @@ def _not_converged(Z):
 
 def embed(g: AttributedGraph, dim: int = 64, order: int = 4,
           negatives: int = 1, deltas=(1.0, 1.0, 1.0),
-          weighted_motifs: bool = False, attr_similarity: bool = True,
+          weighted_motifs: bool = False,
           size_cap: int = DENSE_SIZE_CAP) -> EmbeddingModel:
     """Full pipeline: combined adjacency, walk matrix, factorization."""
     hetero = build_hetero_adjacency(g, deltas=deltas,
                                     weighted_motifs=weighted_motifs,
-                                    attr_similarity=attr_similarity,
                                     size_cap=size_cap)
     model = factorize(walk_matrix(hetero, order=order, negatives=negatives),
                       dim)

@@ -134,15 +134,15 @@ class HeteroAdjacency:
 
 def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
                            weighted_motifs: bool = False,
-                           attr_similarity: bool = True,
                            size_cap: int = DENSE_SIZE_CAP) -> HeteroAdjacency:
     """Assemble the combined entity adjacency from an attributed graph.
 
-    attr_similarity=False zeroes the attribute-similarity block; together
-    with all-zero deltas this reduces the graph to its plain topology
-    (attribute entities are dropped entirely in that case). Entities left
-    without any relation are rejected because the downstream random walk
-    divides by entity degrees.
+    A graph with no attribute columns gives B = A, the plain topology;
+    `dataclasses.replace(g, attr_weights=sparse.csr_array((g.n, 0)),
+    attr_ids=[])` is the topology-only ablation of `g`.  Attribute
+    entities are also dropped when every relation and similarity weight
+    is zero.  Entities left without any relation are rejected because
+    the downstream random walk divides by entity degrees.
 
     B is assembled once, as CSR, from the sparse adjacency and the dense
     n-by-m relation and m-by-m similarity blocks; it keeps the nonzeros
@@ -154,14 +154,14 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
             f"dense construction over {n + m} entities exceeds the size cap "
             f"of {size_cap}; raise size_cap explicitly to proceed")
     R0 = _to_dense(g.attr_weights)
-    sim = attribute_similarity(R0) if attr_similarity else np.zeros((m, m))
+    sim = attribute_similarity(R0)
     R1, R2 = motif_relations(R0, weighted=weighted_motifs)
     rel = combine_relations(R0, R1, R2, deltas)
     del R0, R1, R2
     if not rel.any() and not sim.any():
-        # No attributes, or the pure-topology ablation: the attribute side
-        # carries no weight at all, so attribute entities are dropped
-        # rather than left isolated.
+        # No attributes, or no weight on the attribute side (say, all-zero
+        # deltas and a single attribute, whose 1-by-1 similarity block
+        # mnorm zeroes): attribute entities are dropped, not left isolated.
         rel, sim = rel[:, :0], sim[:0, :0]
 
     # csr_array: `bmat` returns the older matrix type on scipy < 1.11.

@@ -31,10 +31,8 @@ class SideInfo:
     matrix and attribute cosine, are built on each access, and so is
     `node_laplacian` = lambda1*L(q_norm) + lambda2*L(s_norm), with at most
     two n-by-n arrays alive; it is the `L` of `update_x` and
-    `objective_value`.  t1 and t2 are the sources, laplacians their
-    Laplacians and combined `node_laplacian`, each padded with zeros up
-    to all `size` = n+m entities for callers that want that form; the
-    refinement never builds them.
+    `objective_value`, which read it as zero on the `size` - n attribute
+    rows.
     """
 
     graph: AttributedGraph
@@ -51,22 +49,6 @@ class SideInfo:
     @property
     def s_norm(self) -> np.ndarray:
         return _mnorm_in_place(attribute_cosine(self.graph))
-
-    @property
-    def t1(self) -> np.ndarray:
-        return _pad(self.q_norm, self.size)
-
-    @property
-    def t2(self) -> np.ndarray:
-        return _pad(self.s_norm, self.size)
-
-    @property
-    def laplacians(self) -> tuple[np.ndarray, np.ndarray]:
-        return _laplacian(self.t1), _laplacian(self.t2)
-
-    @property
-    def combined(self) -> np.ndarray:
-        return _pad(self.node_laplacian, self.size)
 
     @property
     def node_laplacian(self) -> np.ndarray:
@@ -106,12 +88,6 @@ def attribute_cosine(g: AttributedGraph) -> np.ndarray:
     norms = np.linalg.norm(unit, axis=1)
     unit /= np.where(norms > 0, norms, 1.0)[:, None]
     return unit @ unit.T
-
-
-def _pad(block: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros((size, size))
-    out[:block.shape[0], :block.shape[1]] = block
-    return out
 
 
 def _laplacian(T: np.ndarray) -> np.ndarray:

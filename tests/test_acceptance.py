@@ -5,11 +5,13 @@ Criteria 1-9 are gating.  Criterion 10 needs an external dataset and is
 skipped unless SEMGRAPH_CORA_DIR points at edges/attrs/labels TSV files.
 """
 
+import dataclasses
 import os
 import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
@@ -116,16 +118,20 @@ class TestCriterion04StructuralIdentities:
                             float(np.abs(side.q_norm - side.q_norm.T).max()),
                             float(np.abs(side.s_norm - side.s_norm.T).max()))
             for M in (hetero.relation_block, hetero.similarity_block,
-                      side.t1, side.t2, mnorm(rng.normal(size=(5, 7)))):
+                      side.q_norm, side.s_norm,
+                      mnorm(rng.normal(size=(5, 7)))):
                 range_ok &= bool(M.min() >= 0.0 and M.max() <= 1.0)
             worst_row = max(worst_row, float(np.abs(
                 modularity_matrix(g).sum(axis=1)).max()))
-            ones = np.ones(side.size)
-            for L in (*side.laplacians, side.combined):
+            ones = np.ones(g.n)
+            # L(q_norm), L(s_norm) and their unit-weight sum
+            for lambdas in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+                L = build_side_info(g, lambdas=lambdas).node_laplacian
                 worst_kernel = max(worst_kernel,
                                    float(np.linalg.norm(L @ ones)))
-            X = rng.normal(size=(side.size, 3))
-            for T in (side.t1, side.t2):
+            # the penalties act on node rows only
+            X = rng.normal(size=(side.size, 3))[:g.n]
+            for T in (side.q_norm, side.s_norm):
                 worst_pair = max(worst_pair, abs(
                     regularization_value(X, T)
                     - oracles.pairwise_penalty(X, T)))
@@ -248,7 +254,9 @@ class TestCriterion08PlantedStructure:
     def test_attributes_beat_topology_alone(self, planted):
         g, model = planted
         start = time.perf_counter()
-        bare = embed(g, deltas=(0.0, 0.0, 0.0), attr_similarity=False)
+        # topology only: the same graph with no attribute columns
+        bare = embed(dataclasses.replace(
+            g, attr_weights=sparse.csr_array((g.n, 0)), attr_ids=[]))
         labels = np.asarray(g.labels)
         full_scores, bare_scores = [], []
         for seed in range(20):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests over small on-disk fixtures."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import semgraph
 from semgraph import (build_hetero_adjacency, build_side_info, factorize,
                       load_graph, planted_attributed_sbm, read_embeddings,
                       side_enhance, walk_matrix, write_embeddings)
+from semgraph import cli, evaluation, sideinfo
 from semgraph.cli import build_parser, main
 
 
@@ -384,6 +386,47 @@ class TestImportCost:
         """The classifier's sigmoid is written with numpy; no command
         pays for importing scipy.special."""
         assert self._loaded_after("scipy.special") == "False"
+
+
+class TestTraceContract:
+    """The benchmark's traced run (perfbench/traced.py) wraps these public
+    functions at the module attribute each is called through and needs a
+    span from every one; a stage that moves, goes private or stops being
+    called there would fail only the slow benchmark run."""
+
+    TRACED = {
+        cli: ("load_graph", "build_hetero_adjacency", "walk_matrix",
+              "factorize", "build_side_info", "side_enhance", "evaluate",
+              "write_embeddings"),
+        sideinfo: ("update_x", "update_y", "objective_value"),
+        evaluation: ("kmeans", "train_classifier"),
+    }
+
+    def test_every_traced_stage_is_public_and_called(self, dataset,
+                                                     monkeypatch):
+        paths, tmp = dataset
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module, names in self.TRACED.items():
+            for name in names:
+                assert name in semgraph.__all__
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+        argv = _base_argv(paths, "--dim", "4", "--repeats", "1")
+        assert main(["embed", *_base_argv(paths, "--dim", "4"),
+                     "--out", str(tmp / "emb.tsv")]) == 0
+        assert main(["eval-cluster", *argv, "--lambda1", "1",
+                     "--lambda2", "1"]) == 0
+        assert main(["eval-classify", *argv, "--train-frac", "0.5"]) == 0
+        uncalled = [name for names in self.TRACED.values()
+                    for name in names if not calls[name]]
+        assert not uncalled
 
 
 class TestSelftestAndParser:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy import sparse
 
 import oracles
 from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
@@ -308,9 +311,14 @@ class TestEmbed:
         for w in range(other.shape[1]):
             if other[:, w].sum() == 0:
                 other[int(rng.integers(other.shape[0])), w] = 1.0
-        kwargs = dict(dim=3, deltas=(0.0, 0.0, 0.0), attr_similarity=False)
-        one = embed(AttributedGraph.from_dense(A, R0), **kwargs)
-        two = embed(AttributedGraph.from_dense(A, other), **kwargs)
+
+        def topology_only(R):
+            g = AttributedGraph.from_dense(A, R)
+            return dataclasses.replace(
+                g, attr_weights=sparse.csr_array((g.n, 0)), attr_ids=[])
+
+        one = embed(topology_only(R0), dim=3)
+        two = embed(topology_only(other), dim=3)
         assert np.array_equal(one.vectors, two.vectors)
         assert one.m == 0 and one.attr_ids == []
 

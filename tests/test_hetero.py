@@ -215,9 +215,10 @@ class TestBuildHeteroAdjacency:
         assert np.allclose(hetero.matrix.toarray(), ref, atol=1e-12)
 
     def test_pure_topology_ablation_drops_attributes(self):
+        # all-zero deltas leave the relation block zero, and mnorm zeroes
+        # the 1-by-1 similarity block of the single attribute
         g = _minimal_graph()
-        hetero = build_hetero_adjacency(g, deltas=(0.0, 0.0, 0.0),
-                                        attr_similarity=False)
+        hetero = build_hetero_adjacency(g, deltas=(0.0, 0.0, 0.0))
         assert hetero.m == 0
         assert np.array_equal(hetero.matrix.toarray(),
                               g.adjacency.toarray())
@@ -233,14 +234,14 @@ class TestBuildHeteroAdjacency:
             build_hetero_adjacency(g)
 
     def test_zero_row_names_attribute(self):
-        # with the similarity block disabled and all-positive weights,
-        # mnorm zeroes the constant-minimum column of attribute x
+        # both nodes carry both attributes, so the motif counts and the
+        # similarity block are constant and mnorm zeroes them; of the
+        # weights, mnorm zeroes the global minimum, column y
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        R = np.array([[1.0, 5.0], [1.0, 7.0]])
+        R = np.array([[3.0, 1.0], [3.0, 1.0]])
         g = AttributedGraph.from_dense(A, R, attr_ids=["x", "y"])
-        with pytest.raises(ValueError, match="attribute 'x'"):
-            build_hetero_adjacency(g, deltas=(1.0, 0.0, 0.0),
-                                   attr_similarity=False)
+        with pytest.raises(ValueError, match="attribute 'y' is isolated"):
+            build_hetero_adjacency(g)
 
     def test_size_cap(self):
         g = _minimal_graph()

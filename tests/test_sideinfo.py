@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from semgraph import (AttributedGraph, SideInfo, WalkMatrix, attribute_cosine,
@@ -91,48 +92,50 @@ class TestAttributeCosine:
 class TestBuildSideInfo:
     def test_zero_lambdas_zero_laplacian(self):
         side = build_side_info(_triangle(), lambdas=(0.0, 0.0))
-        assert not side.combined.any()
-
-    def test_single_source_pads_attribute_rows(self):
-        g = _triangle()
-        side = build_side_info(g, lambdas=(1.0, 0.0))
-        L = side.combined
-        assert np.array_equal(L, side.laplacians[0])
-        assert not L[g.n:, :].any() and not L[:, g.n:].any()
+        assert not side.node_laplacian.any()
 
     def test_laplacian_kernel(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             A, R0 = oracles.random_connected_graph(rng)
-            side = build_side_info(_graph(A, R0),
-                                   lambdas=(rng.uniform(0, 2),
-                                            rng.uniform(0, 2)))
-            ones = np.ones(side.size)
-            for L in side.laplacians:
+            g = _graph(A, R0)
+            ones = np.ones(g.n)
+            for lambdas in ((1.0, 0.0), (0.0, 1.0),
+                            (rng.uniform(0, 2), rng.uniform(0, 2))):
+                L = build_side_info(g, lambdas=lambdas).node_laplacian
+                assert L.shape == (g.n, g.n)
                 assert np.linalg.norm(L @ ones) <= 1e-10
                 assert np.abs(L.sum(axis=1)).max() <= 1e-10
-            assert np.linalg.norm(side.combined @ ones) <= 1e-10
 
-    def test_combined_is_padded_node_laplacian(self):
+    def test_node_laplacian_linear_in_lambdas(self):
+        """L(a, b) = a L(1, 0) + b L(0, 1), each with the ones vector in
+        its kernel, and L(a, b) is exactly D_T - T for the weighted sum T
+        of the two sources."""
         rng = np.random.default_rng(2)
-        A, R0 = oracles.random_connected_graph(rng)
-        g = _graph(A, R0)
-        side = build_side_info(g, lambdas=(0.7, 1.3))
-        L = side.node_laplacian
-        T = 0.7 * side.q_norm + 1.3 * side.s_norm
-        assert np.array_equal(L, np.diag(T.sum(axis=1)) - T)
-        combined = side.combined
-        assert np.array_equal(combined[:g.n, :g.n], L)
-        assert not combined[g.n:, :].any() and not combined[:, g.n:].any()
+        for _ in range(10):
+            A, R0 = oracles.random_connected_graph(rng)
+            g = _graph(A, R0)
+            a, b = rng.uniform(0, 2, size=2)
+            side = SideInfo(g, (a, b))
+            L = side.node_laplacian
+            L_q = SideInfo(g, (1.0, 0.0)).node_laplacian
+            L_s = SideInfo(g, (0.0, 1.0)).node_laplacian
+            expect = a * L_q + b * L_s
+            assert (np.linalg.norm(L - expect)
+                    <= 1e-12 * np.linalg.norm(expect))
+            ones = np.ones(g.n)
+            for M in (L, L_q, L_s):
+                assert np.linalg.norm(M @ ones) <= 1e-10
+            T = a * side.q_norm + b * side.s_norm
+            assert np.array_equal(L, np.diag(T.sum(axis=1)) - T)
 
-    def test_similarity_blocks_symmetric_zero_padded(self):
+    def test_similarity_sources_symmetric_and_unstored(self):
         g = _triangle()
         side = build_side_info(g)
-        for T in (side.t1, side.t2):
+        for T in (side.q_norm, side.s_norm):
+            assert T.shape == (g.n, g.n)
             assert np.array_equal(T, T.T)
-            assert not T[g.n:, :].any()
-        assert side.q_norm.shape == (g.n, g.n)
-        assert side.q_norm.min() >= 0.0 and side.q_norm.max() <= 1.0
+            assert T.min() >= 0.0 and T.max() <= 1.0
         stored = [getattr(side, f.name) for f in dataclasses.fields(side)]
         assert not any(isinstance(v, np.ndarray) for v in stored)
 
@@ -338,14 +341,13 @@ class TestSideEnhance:
         small = WalkMatrix(matrix=np.eye(2), n=2)
         with pytest.raises(ValueError, match="sizes disagree"):
             side_enhance(model, small, side)
-        # an ablated model+walk pair covers only the n nodes, while the
-        # side info built from g still covers all n+m entities
+        # a topology-only model+walk pair covers only the n nodes, while
+        # the side info built from g still covers all n+m entities
         from semgraph import build_hetero_adjacency, walk_matrix
-        hetero_abl = build_hetero_adjacency(g, deltas=(0.0, 0.0, 0.0),
-                                            attr_similarity=False)
-        walk_abl = walk_matrix(hetero_abl)
-        ablated = embed(g, dim=2, deltas=(0.0, 0.0, 0.0),
-                        attr_similarity=False)
+        bare = dataclasses.replace(
+            g, attr_weights=sparse.csr_array((g.n, 0)), attr_ids=[])
+        walk_abl = walk_matrix(build_hetero_adjacency(bare))
+        ablated = embed(bare, dim=2)
         assert side.size == g.n + g.m and g.m > 0
         with pytest.raises(ValueError, match="side info"):
             side_enhance(ablated, walk_abl, side)
@@ -369,8 +371,8 @@ class TestSideEnhance:
         base = objective_value(Z, X, Y)
         full = objective_value(Z, X, Y, side.node_laplacian)
         manual = base
-        for lam, T in zip(side.lambdas, (side.t1, side.t2)):
-            manual += lam * regularization_value(X, T)
+        for lam, T in zip(side.lambdas, (side.q_norm, side.s_norm)):
+            manual += lam * regularization_value(X[:side.graph.n], T)
         assert abs(full - manual) <= 1e-10 * max(1.0, abs(manual))
 
         # both Ls cover the leading p < size rows and penalize X[:p] only;

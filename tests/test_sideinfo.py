@@ -94,6 +94,21 @@ class TestBuildSideInfo:
         side = build_side_info(_triangle(), lambdas=(0.0, 0.0))
         assert not side.node_laplacian.any()
 
+    def test_single_source_pads_attribute_rows(self):
+        """One source: L is that source's Laplacian over the n nodes, and
+        the refinement leaves the m attribute rows unpenalised."""
+        g = _triangle()
+        side = build_side_info(g, lambdas=(1.0, 0.0))
+        L = side.node_laplacian
+        q = side.q_norm
+        assert np.array_equal(L, np.diag(q.sum(axis=1)) - q)
+        assert L.shape == (g.n, g.n) and side.size == g.n + g.m and g.m > 0
+        rng = np.random.default_rng(3)
+        Z = rng.normal(size=(side.size, side.size))
+        Y = rng.normal(size=(side.size, 2))
+        attrs = (Z @ Y)[g.n:] @ np.linalg.inv(Y.T @ Y + np.eye(2))
+        assert np.abs(update_x(Z, Y, L)[g.n:] - attrs).max() <= 1e-12
+
     def test_laplacian_kernel(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -106,6 +121,23 @@ class TestBuildSideInfo:
                 assert L.shape == (g.n, g.n)
                 assert np.linalg.norm(L @ ones) <= 1e-10
                 assert np.abs(L.sum(axis=1)).max() <= 1e-10
+
+    def test_combined_is_padded_node_laplacian(self):
+        """node_laplacian is exactly D_T - T, and update_x treats it as
+        that Laplacian zero-padded to all n+m entities."""
+        rng = np.random.default_rng(2)
+        A, R0 = oracles.random_connected_graph(rng)
+        g = _graph(A, R0)
+        side = build_side_info(g, lambdas=(0.7, 1.3))
+        L = side.node_laplacian
+        T = 0.7 * side.q_norm + 1.3 * side.s_norm
+        assert np.array_equal(L, np.diag(T.sum(axis=1)) - T)
+        padded = np.zeros((side.size, side.size))
+        padded[:g.n, :g.n] = L
+        Z = rng.normal(size=(side.size, side.size))
+        Y = rng.normal(size=(side.size, 3))
+        assert (np.abs(update_x(Z, Y, L) - update_x(Z, Y, padded)).max()
+                <= 1e-12)
 
     def test_node_laplacian_linear_in_lambdas(self):
         """L(a, b) = a L(1, 0) + b L(0, 1), each with the ones vector in

@@ -19,9 +19,10 @@ import sys
 
 import numpy as np
 
+from . import evaluation
 from .describe import describe_direct, describe_topics, format_descriptions
 from .embedding import factorize, walk_matrix
-from .evaluation import evaluate, kmeans
+from .evaluation import evaluate
 from .hetero import DENSE_SIZE_CAP, build_hetero_adjacency
 from .io import load_graph, write_embeddings
 from .selftest import run_selftest
@@ -142,17 +143,20 @@ def _load(args):
 def _model(args, g, refine=False):
     """Shared pipeline: combined graph, walk matrix, rank-k
     factorization, and with refine=True one refinement round against the
-    side information weighted by --lambda1 / --lambda2."""
-    walk = walk_matrix(build_hetero_adjacency(
+    side information weighted by --lambda1 / --lambda2.  --dim is clamped
+    to the combined graph's size before the walk, which stores its matrix
+    in the form the factorization at that rank reads."""
+    hetero = build_hetero_adjacency(
         g, deltas=(args.delta0, args.delta1, args.delta2),
-        weighted_motifs=args.weighted_motifs, size_cap=args.size_cap),
-        order=args.order, negatives=args.neg)
-    size = walk.n + walk.m
-    dim = args.dim
-    if dim > size:
-        print(f"warning: dim {dim} clamped to the {size} available entities",
-              file=sys.stderr)
-        dim = size
+        weighted_motifs=args.weighted_motifs, size_cap=args.size_cap)
+    size = hetero.matrix.shape[0]
+    dim = min(args.dim, size)
+    walk = walk_matrix(hetero, order=args.order, negatives=args.neg,
+                       dim=dim)
+    del hetero  # B is not read past the walk
+    if dim < args.dim:
+        print(f"warning: dim {args.dim} clamped to the {size} available "
+              f"entities", file=sys.stderr)
     model = factorize(walk, dim)
     model.node_ids = list(g.node_ids)
     if model.m == g.m:
@@ -192,14 +196,14 @@ def _cmd_describe(args):
             raise ValueError("--node-clusters is required without --labels")
         k1 = g.c
     seeds = np.random.SeedSequence(args.seed).generate_state(2)
-    node_cl = kmeans(model.node_vectors, k1, int(seeds[0]))
+    node_cl = evaluation.kmeans(model.node_vectors, k1, int(seeds[0]))
     metric = "cosine" if args.cosine_describe else "euclidean"
     if args.attr_clusters is None:
         blocks = describe_direct(model, node_cl, q=args.keywords,
                                  metric=metric)
     else:
-        attr_cl = kmeans(model.attr_vectors, args.attr_clusters,
-                         int(seeds[1]))
+        attr_cl = evaluation.kmeans(model.attr_vectors, args.attr_clusters,
+                                    int(seeds[1]))
         blocks = describe_topics(model, node_cl, attr_cl, q=args.keywords,
                                  t=args.topics, metric=metric)
     text = format_descriptions(blocks)

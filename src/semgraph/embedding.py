@@ -6,6 +6,8 @@ both triangles, so it is exactly symmetric by construction, and its best
 rank-k factorization comes from the k eigenpairs of largest magnitude:
 implicitly restarted Lanczos (ARPACK) on its sparse form when k is a
 small fraction of its size, a dense symmetric eigensolver otherwise.
+The walk is stored in the form that solver reads: CSR for Lanczos, a
+dense array for the dense solver.
 """
 
 from __future__ import annotations
@@ -31,17 +33,34 @@ LANCZOS_MIN_RATIO = 20
 WALK_BLOCK = 64
 
 
+def _takes_lanczos(size: int, dim: int) -> bool:
+    """Whether `factorize` at rank `dim` runs Lanczos on a size-by-size Z."""
+    return size >= LANCZOS_MIN_RATIO * dim
+
+
 @dataclass(frozen=True)
 class WalkMatrix:
     """Log-transformed average of the first `order` walk-transition powers,
-    exactly symmetric, over n nodes and m = size - n attributes."""
+    exactly symmetric, over n nodes and m = size - n attributes.
 
-    matrix: np.ndarray
+    `stored` is the matrix as built: a CSR array (sorted int32 indices,
+    no stored zeros) when `factorize` is to run Lanczos on it, a dense
+    array otherwise.  The package reads `stored` only.  `matrix` is a
+    dense view for inspection: the stored array itself, or a fresh
+    `toarray()` of the CSR, an N-by-N allocation on every access.
+    """
+
+    stored: np.ndarray | sparse.csr_array
     n: int
 
     @property
+    def matrix(self) -> np.ndarray:
+        Z = self.stored
+        return Z.toarray() if sparse.issparse(Z) else Z
+
+    @property
     def m(self) -> int:
-        return self.matrix.shape[0] - self.n
+        return self.stored.shape[0] - self.n
 
 
 @dataclass
@@ -84,7 +103,7 @@ class EmbeddingModel:
 
 
 def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
-                negatives: int = 1) -> WalkMatrix:
+                negatives: int = 1, dim: int | None = None) -> WalkMatrix:
     """Build the proximity matrix factored by skip-gram style embeddings.
 
     Averages the first `order` powers of the degree-normalized adjacency,
@@ -97,14 +116,21 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     over column blocks of WALK_BLOCK columns: the first power of a block
     is its columns of the transition matrix made dense, and each later
     power is the transition matrix times the previous one.  Each block is
-    rescaled, truncated and logged on its own; the result is the only
-    N-by-N array made.  The matrix M so computed is symmetric in exact
-    arithmetic only, so each block writes its entries on and below the
-    diagonal, M[i, j] with i >= j, into both triangles: entry (i, j) of
-    the result is M[max(i, j), min(i, j)], exactly symmetric by
+    rescaled, truncated and logged on its own.  The matrix M so computed
+    is symmetric in exact arithmetic only, so only its entries on and
+    below the diagonal, M[i, j] with i >= j, are kept, and entry (i, j)
+    of the result is M[max(i, j), min(i, j)]: exactly symmetric by
     construction, as `factorize` requires.  Every entry goes through the
     same operations whatever the block width, so the result does not
     depend on it.
+
+    `dim` is the rank `factorize` will be asked for.  When it is given
+    and `factorize` will run Lanczos at that rank, the result is stored
+    as CSR: each block adds the nonzeros of its columns on and below the
+    diagonal, transposed, as rows of the upper triangle, and the strict
+    upper triangle is mirrored once at the end.  Otherwise each block
+    writes both triangles of a dense array, the only N-by-N array made.
+    The two forms hold the same values.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -119,7 +145,9 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     transition.data /= np.repeat(degrees, np.diff(transition.indptr))
     scale = volume / (order * negatives)
     size = transition.shape[0]
-    Z = np.empty((size, size))
+    as_csr = dim is not None and _takes_lanczos(size, dim)
+    Z = None if as_csr else np.empty((size, size))
+    upper_rows = []  # CSR pieces of the upper triangle, one per block
     for start in range(0, size, WALK_BLOCK):
         cols = slice(start, start + WALK_BLOCK)
         acc = transition[:, cols].toarray()
@@ -131,12 +159,28 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
         acc /= degrees[None, cols]
         np.maximum(acc, 1.0, out=acc)
         np.log(acc, out=acc)
-        Z[cols, start:] = acc[start:].T
-        Z[start:, cols] = acc[start:]
-        tile = Z[cols, cols]  # holds acc[cols]; mirror its lower triangle
-        upper = np.triu_indices(tile.shape[0], 1)
-        tile[upper] = tile.T[upper]
-    return WalkMatrix(matrix=Z, n=hetero.n)
+        width = acc.shape[1]
+        if as_csr:
+            # rows start: of acc hold M[i, j] for i >= start; drop i < j
+            acc[cols][np.triu_indices(width, 1)] = 0.0
+            piece = sparse.csr_array(acc[start:].T)  # columns from start
+            upper_rows.append(sparse.csr_array(
+                (piece.data, piece.indices + start, piece.indptr),
+                shape=(width, size)))
+        else:
+            Z[cols, start:] = acc[start:].T
+            Z[start:, cols] = acc[start:]
+            tile = Z[cols, cols]  # holds acc[cols]; mirror its lower triangle
+            upper = np.triu_indices(width, 1)
+            tile[upper] = tile.T[upper]
+    if as_csr:
+        # csr_array: `vstack` and `triu` return the older matrix types on
+        # scipy < 1.11.
+        triangle = sparse.csr_array(sparse.vstack(upper_rows, format="csr"))
+        del upper_rows  # freed before the mirror is made
+        # disjoint patterns: each entry of the sum is one stored value + 0
+        Z = sparse.csr_array(triangle + sparse.triu(triangle, k=1).T)
+    return WalkMatrix(stored=Z, n=hetero.n)
 
 
 def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
@@ -148,24 +192,29 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     `dim`, only those pairs are computed, by implicitly restarted Lanczos
     (ARPACK `eigsh`) on the sparse (CSR) matrix from a fixed-seed start
     vector; otherwise dense `eigh` computes all pairs.  Both give the
-    same factors to rounding.  Both factors are scaled by the square
-    root of the kept singular values; the right one is the left one
-    times sign(lam).  Column signs make positive the first entry of each
-    left column within 1e-9 relative of its largest magnitude, so entries
-    tied in magnitude (structurally symmetric entities) cannot flip a
-    column under rounding.  `eigh` reads only one triangle, so a matrix
-    that is not exactly symmetric is rejected.
+    same factors to rounding.  Each solver reads the walk's stored form
+    when it is the one it needs (the form `walk_matrix` builds for this
+    `dim`); any other form is converted.  Both factors are scaled by the
+    square root of the kept singular values; the right one is the left
+    one times sign(lam).  Column signs make positive the first entry of
+    each left column within 1e-9 relative of its largest magnitude, so
+    entries tied in magnitude (structurally symmetric entities) cannot
+    flip a column under rounding.  `eigh` reads only one triangle, so a
+    matrix that is not exactly symmetric is rejected; a CSR one is
+    compared with its transpose on the stored entries.
     """
-    Z = walk.matrix
+    Z = walk.stored
     size = Z.shape[0]
     if not 1 <= dim <= size:
         raise ValueError(f"dim must be in [1, {size}], got {dim}")
-    if not np.array_equal(Z, Z.T):
+    symmetric = ((Z != Z.T).nnz == 0 if sparse.issparse(Z)
+                 else np.array_equal(Z, Z.T))
+    if not symmetric:
         raise ValueError("walk matrix must be exactly symmetric")
-    if size >= LANCZOS_MIN_RATIO * dim:
-        lam, Q = _lanczos_pairs(Z, dim)
+    if _takes_lanczos(size, dim):
+        lam, Q = _lanczos_pairs(sparse.csr_array(Z), dim)
     else:
-        lam, Q = _dense_pairs(Z)
+        lam, Q = _dense_pairs(Z.toarray() if sparse.issparse(Z) else Z)
     keep = np.argsort(-np.abs(lam), kind="stable")[:dim]
     lam, U = lam[keep], Q[:, keep]
 
@@ -180,7 +229,7 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
 
 
 def _dense_pairs(Z):
-    """All eigenpairs of Z, by dense `eigh`."""
+    """All eigenpairs of the dense Z, by `eigh`."""
     try:
         return np.linalg.eigh(Z)
     except np.linalg.LinAlgError as exc:
@@ -188,25 +237,28 @@ def _dense_pairs(Z):
 
 
 def _lanczos_pairs(Z, dim):
-    """The `dim` eigenpairs of Z of largest magnitude, by ARPACK on CSR."""
+    """The `dim` eigenpairs of the CSR Z of largest magnitude, by ARPACK."""
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
     size = Z.shape[0]
-    csr = sparse.csr_array(Z)
-    if csr.nnz == 0:  # ARPACK rejects a start vector that Z maps to zero
+    if Z.count_nonzero() == 0:  # ARPACK rejects a start vector Z maps to 0
         return np.zeros(dim), np.eye(size, dim)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, size)
     try:
-        return eigsh(csr, k=dim, which="LM", v0=v0)
+        return eigsh(Z, k=dim, which="LM", v0=v0)
     except (ArpackNoConvergence, ArpackError) as exc:
         raise _not_converged(Z) from exc
 
 
 def _not_converged(Z):
+    """The solver's error, with the norm and finiteness of Z read from its
+    stored values, dense or CSR."""
     size = Z.shape[0]
+    values = Z.data if sparse.issparse(Z) else Z
     return np.linalg.LinAlgError(
         f"factorization failed to converge on a {size}x{size} matrix "
-        f"(norm {np.linalg.norm(Z):.3e}, finite={np.all(np.isfinite(Z))})")
+        f"(norm {np.linalg.norm(values):.3e}, "
+        f"finite={np.all(np.isfinite(values))})")
 
 
 def embed(g: AttributedGraph, dim: int = 64, order: int = 4,
@@ -217,8 +269,9 @@ def embed(g: AttributedGraph, dim: int = 64, order: int = 4,
     hetero = build_hetero_adjacency(g, deltas=deltas,
                                     weighted_motifs=weighted_motifs,
                                     size_cap=size_cap)
-    model = factorize(walk_matrix(hetero, order=order, negatives=negatives),
-                      dim)
+    walk = walk_matrix(hetero, order=order, negatives=negatives, dim=dim)
+    del hetero  # B is not read past the walk
+    model = factorize(walk, dim)
     model.node_ids = list(g.node_ids)
     if model.m == g.m:
         model.attr_ids = list(g.attr_ids)

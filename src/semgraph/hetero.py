@@ -27,13 +27,20 @@ def mnorm(matrix) -> np.ndarray:
     return _mnorm_in_place(np.array(matrix, dtype=float))
 
 
-def _mnorm_in_place(matrix: np.ndarray) -> np.ndarray:
-    """`mnorm` that overwrites and returns its own float array."""
+def _mnorm_in_place(matrix: np.ndarray, lo=None) -> np.ndarray:
+    """`mnorm` that overwrites and returns its own float array.
+
+    `lo`, when given, is the minimum to use instead of the array's own:
+    0 when the array holds a nonnegative matrix's values on a pattern
+    that leaves some entry, a zero, out.
+    """
     if matrix.size == 0:
         return matrix
     if not np.all(np.isfinite(matrix)):
         raise ValueError("mnorm input must be finite")
-    lo, hi = matrix.min(), matrix.max()
+    if lo is None:
+        lo = matrix.min()
+    hi = matrix.max()
     if hi == lo:
         matrix.fill(0.0)
     else:
@@ -49,17 +56,19 @@ def attribute_similarity(attr_weights) -> np.ndarray:
     symmetrically scaled by its row sums, and the scaled matrix is mapped
     onto [0, 1] with mnorm.  numpy forms the product of an array with its
     own transpose by a symmetric rank-k update, so the Gram matrix is
-    exactly symmetric, and so is its scaling by outer(scale, scale).
+    exactly symmetric, and so is its scaling by outer(scale, scale).  The
+    one n-by-m array made holds the unit columns, divided in place.
     """
-    R0 = _to_dense(attr_weights)
-    m = R0.shape[1]
+    cols = sparse.csr_array(attr_weights, dtype=float).toarray()
+    m = cols.shape[1]
     if m == 0:
         return np.zeros((0, 0))
-    norms = np.linalg.norm(R0, axis=0)
+    norms = np.linalg.norm(cols, axis=0)
     if np.any(norms == 0):
         raise ValueError("attribute column with zero norm")
-    cols = R0 / norms
+    cols /= norms
     gram = cols.T @ cols
+    del cols  # freed before the scaling's m-by-m temporary is made
     scale = 1.0 / np.sqrt(gram.sum(axis=1))
     gram *= np.outer(scale, scale)
     return _mnorm_in_place(gram)
@@ -72,35 +81,95 @@ def motif_relations(attr_weights, weighted: bool = False):
 
     With weighted=True each count is multiplied by the pair's own weight,
     giving the cumulative-weight reading instead of the instance count.
+
+    A pair with zero weight is in no motif, so both counts are CSR arrays
+    on the support of the weights (their positive entries), the pattern
+    `combine_relations` computes on.  A count of zero on the support is
+    stored; `.toarray()` gives the dense counts.
     """
-    R0 = _to_dense(attr_weights)
-    support = (R0 > 0).astype(float)
-    shared_nodes = support * (support.sum(axis=0)[None, :] - 1.0)
-    shared_attrs = support * (support.sum(axis=1)[:, None] - 1.0)
+    R0 = _support(attr_weights)
+    nodes_per_attr = np.bincount(R0.indices, minlength=R0.shape[1])
+    attrs_per_node = np.diff(R0.indptr)
+    shared_nodes = nodes_per_attr[R0.indices] - 1.0
+    shared_attrs = np.repeat(attrs_per_node - 1.0, attrs_per_node)
     if weighted:
-        shared_nodes = shared_nodes * R0
-        shared_attrs = shared_attrs * R0
-    return shared_nodes, shared_attrs
+        shared_nodes *= R0.data
+        shared_attrs *= R0.data
+    return _on_support(R0, shared_nodes), _on_support(R0, shared_attrs)
 
 
-def combine_relations(R0, R1, R2, deltas) -> np.ndarray:
+def combine_relations(R0, R1, R2, deltas) -> sparse.csr_array:
     """Blend the three relation matrices into one normalized block.
 
     Each input is mnorm-ed individually, combined with the delta weights,
     and the combination is mnorm-ed again.  The weighted parts are summed
     in place, one at a time.
+
+    R0 holds nonnegative weights; R1 and R2, dense or sparse, must be
+    nonnegative and vanish off R0's support, as `motif_relations`' counts
+    do.  All three and their blend are then zero off that support, and
+    the work is done on their values there: while the support leaves an
+    entry out, every minimum mnorm takes is 0 and it is x / max; when it
+    covers every entry, the minimum is the least value on it.  The result
+    is a CSR array without stored zeros, bit-identical to the blend of
+    the dense matrices.
     """
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) != 3 or not all(np.isfinite(d) and d >= 0 for d in deltas):
         raise ValueError(f"need three finite nonnegative deltas: {deltas}")
-    combined = mnorm(_to_dense(R0))
+    R0 = _support(R0)
+    lo = None if R0.nnz == R0.shape[0] * R0.shape[1] else 0.0
+    combined = _mnorm_in_place(R0.data.copy(), lo)
     combined *= deltas[0]
     for d, R in zip(deltas[1:], (R1, R2)):
-        part = mnorm(_to_dense(R))
+        part = _mnorm_in_place(_values_on(R, R0), lo)
         part *= d
         combined += part
         del part  # freed before the next part is made
-    return _mnorm_in_place(combined)
+    out = _on_support(R0, _mnorm_in_place(combined, lo))
+    out.eliminate_zeros()
+    return out
+
+
+def _support(weights) -> sparse.csr_array:
+    """Canonical CSR copy of nonnegative weights with zeros dropped: its
+    pattern is the set of positive entries."""
+    R = sparse.csr_array(weights, dtype=float, copy=True)
+    R.sum_duplicates()
+    R.eliminate_zeros()
+    if np.any(R.data < 0):
+        raise ValueError("attribute weights must be nonnegative")
+    return R
+
+
+def _on_support(R0: sparse.csr_array, values: np.ndarray) -> sparse.csr_array:
+    """CSR array of `values` on R0's pattern (index arrays copied)."""
+    return sparse.csr_array((values, R0.indices.copy(), R0.indptr.copy()),
+                            shape=R0.shape)
+
+
+def _values_on(R, R0: sparse.csr_array) -> np.ndarray:
+    """A fresh array of R's entries on R0's pattern.  R must be
+    nonnegative and zero off that pattern; a sparse R on another pattern
+    is read densely."""
+    if np.shape(R) != R0.shape:
+        raise ValueError(
+            f"relation shapes differ: {np.shape(R)} != {R0.shape}")
+    if sparse.issparse(R):
+        R = sparse.csr_array(R, dtype=float)
+    if (sparse.issparse(R) and R.has_canonical_format
+            and np.array_equal(R.indptr, R0.indptr)
+            and np.array_equal(R.indices, R0.indices)):
+        values = R.data.copy()
+    else:
+        dense = R.toarray() if sparse.issparse(R) else np.asarray(R, float)
+        rows = np.repeat(np.arange(R0.shape[0]), np.diff(R0.indptr))
+        values = dense[rows, R0.indices]
+        if np.count_nonzero(values) != np.count_nonzero(dense):
+            raise ValueError("relations must vanish off R0's support")
+    if np.any(values < 0):
+        raise ValueError("relations must be nonnegative")
+    return values
 
 
 @dataclass(frozen=True)
@@ -144,21 +213,22 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
     is zero.  Entities left without any relation are rejected because
     the downstream random walk divides by entity degrees.
 
-    B is assembled once, as CSR, from the sparse adjacency and the dense
-    n-by-m relation and m-by-m similarity blocks; it keeps the nonzeros
-    of each block, and no (n+m)-square dense array is made.
+    B is assembled once, as CSR, from the sparse adjacency, the sparse
+    n-by-m relation block (built on the support of the attribute weights)
+    and the dense m-by-m similarity block; it keeps the nonzeros of each
+    block.  The only dense arrays made are n-by-m and m-by-m, inside
+    `attribute_similarity`.
     """
     n, m = g.n, g.m
     if n + m > size_cap:
         raise ValueError(
             f"dense construction over {n + m} entities exceeds the size cap "
             f"of {size_cap}; raise size_cap explicitly to proceed")
-    R0 = _to_dense(g.attr_weights)
-    sim = attribute_similarity(R0)
-    R1, R2 = motif_relations(R0, weighted=weighted_motifs)
-    rel = combine_relations(R0, R1, R2, deltas)
-    del R0, R1, R2
-    if not rel.any() and not sim.any():
+    sim = attribute_similarity(g.attr_weights)
+    R1, R2 = motif_relations(g.attr_weights, weighted=weighted_motifs)
+    rel = combine_relations(g.attr_weights, R1, R2, deltas)
+    del R1, R2
+    if not rel.nnz and not sim.any():
         # No attributes, or no weight on the attribute side (say, all-zero
         # deltas and a single attribute, whose 1-by-1 similarity block
         # mnorm zeroes): attribute entities are dropped, not left isolated.
@@ -175,9 +245,3 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
         raise ValueError(f"{name} is isolated in the combined graph")
 
     return HeteroAdjacency(matrix=B, n=n)
-
-
-def _to_dense(matrix) -> np.ndarray:
-    if sparse.issparse(matrix):
-        return matrix.toarray().astype(float, copy=False)
-    return np.asarray(matrix, dtype=float)

@@ -28,7 +28,7 @@ def _check_walk(rng, rounds):
         g = AttributedGraph.from_dense(*reference.random_connected_graph(rng))
         hetero = build_hetero_adjacency(g)
         order = int(rng.integers(1, 5))
-        ours = walk_matrix(hetero, order=order, negatives=1).matrix
+        ours = walk_matrix(hetero, order=order, negatives=1).stored
         ref = reference.walk_oracle(hetero.matrix.toarray(), order, 1)
         scale = max(1.0, float(np.abs(ref).max()))
         worst = max(worst, float(np.abs(ours - ref).max()) / scale)
@@ -41,7 +41,7 @@ def _check_motifs(rng, rounds):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 6))
         R = (rng.random((n, m)) < 0.5).astype(float)
-        ours = motif_relations(R)
+        ours = [counts.toarray() for counts in motif_relations(R)]
         ref = reference.motif_enumeration(R)
         worst = max(worst,
                     float(np.abs(ours[0] - ref[0]).max()),
@@ -70,7 +70,7 @@ def _check_factorization(rng, rounds):
 def _tail_gap(target, k):
     """|rank-k residual of `factorize` - tail norm from `eigvalsh`|."""
     size = target.shape[0]
-    model = factorize(WalkMatrix(matrix=target, n=size), k)
+    model = factorize(WalkMatrix(stored=target, n=size), k)
     s = np.sort(np.abs(np.linalg.eigvalsh(target)))[::-1]
     resid = np.linalg.norm(target - model.vectors @ model.context.T)
     return abs(resid - float(np.sqrt((s[k:] ** 2).sum())))

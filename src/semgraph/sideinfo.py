@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .embedding import EmbeddingModel, WalkMatrix
 from .hetero import _mnorm_in_place
@@ -140,19 +141,24 @@ def regularization_value(X: np.ndarray, T: np.ndarray) -> float:
     return _penalty(X, _laplacian(T))
 
 
-def objective_value(Z: np.ndarray, X: np.ndarray, Y: np.ndarray,
+def objective_value(Z, X: np.ndarray, Y: np.ndarray,
                     L: np.ndarray | None = None) -> float:
     """||Z - X Y^T||_F^2 + tr(X_p^T L X_p), with X_p = X[:p].
 
-    L follows `update_x`: it may cover only the leading p <= size rows
-    (the n nodes, for `SideInfo.node_laplacian`) and then stands for L
-    padded with zeros.  The residual is formed 256 rows at a time, in
-    each block's own product buffer, so no size-by-size array is made.
+    Z is dense or CSR (a `WalkMatrix.stored`).  L follows `update_x`: it
+    may cover only the leading p <= size rows (the n nodes, for
+    `SideInfo.node_laplacian`) and then stands for L padded with zeros.
+    The residual is formed 256 rows at a time, in each block's own
+    product buffer, with a CSR Z's rows made dense one block at a time,
+    so no size-by-size array is made.
     """
     value = 0.0
     for start in range(0, Z.shape[0], 256):
         residual = X[start:start + 256] @ Y.T
-        np.subtract(Z[start:start + 256], residual, out=residual)
+        rows = Z[start:start + 256]
+        if sparse.issparse(rows):
+            rows = rows.toarray()
+        np.subtract(rows, residual, out=residual)
         value += float(np.vdot(residual, residual))
         del residual  # freed before the next block's product is made
     if L is not None:
@@ -160,9 +166,12 @@ def objective_value(Z: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return value
 
 
-def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
+def update_x(Z, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Regularized update of the entity factor:
     X' = (I + L)^-1 Z Y (Y^T Y + I_k)^-1.
+
+    Z is dense or CSR (a `WalkMatrix.stored`); Z Y is a dense or a sparse
+    product accordingly.
 
     L is a Laplacian of non-negative weights, so I + L is symmetric and
     strictly diagonally dominant: its LU factorization with partial
@@ -178,7 +187,7 @@ def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
     are just (Z Y)[p:].
     """
     for name, M in (("Z", Z), ("Y", Y), ("L", L)):
-        if not np.all(np.isfinite(M)):
+        if not _finite(M):
             raise ValueError(f"{name} contains non-finite entries")
     p = _covered_rows(L, Z.shape[0])
     k = Y.shape[1]
@@ -189,11 +198,17 @@ def update_x(Z: np.ndarray, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.linalg.solve(Y.T @ Y + np.eye(k), left.T).T
 
 
-def update_y(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Exact least-squares context factor: Y' = Z^T X (X^T X)^+."""
-    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(X))):
+def update_y(Z, X: np.ndarray) -> np.ndarray:
+    """Exact least-squares context factor: Y' = Z^T X (X^T X)^+, with Z
+    dense or CSR."""
+    if not (_finite(Z) and _finite(X)):
         raise ValueError("non-finite entries")
     return Z.T @ X @ np.linalg.pinv(X.T @ X, rcond=_PINV_RCOND)
+
+
+def _finite(M) -> bool:
+    """Whether every entry of M, dense or sparse, is finite."""
+    return bool(np.all(np.isfinite(M.data if sparse.issparse(M) else M)))
 
 
 def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
@@ -207,15 +222,16 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
     logged before and after the round, and it can rise: `update_x` is the
     literal (I + L)^-1 Z Y (Y^T Y + I_k)^-1, whose X solves
     (I + L) X (Y^T Y + I_k) = Z Y, not the stationarity condition
-    X Y^T Y + L X = Z Y of ||Z - X Y^T||_F^2 + tr(X_n^T L X_n).
+    X Y^T Y + L X = Z Y of ||Z - X Y^T||_F^2 + tr(X_n^T L X_n).  Z is
+    read in the walk's stored form; a CSR one is never made dense whole.
     """
     size = model.vectors.shape[0]
-    if walk.matrix.shape[0] != size:
+    Z = walk.stored
+    if Z.shape[0] != size:
         raise ValueError("walk matrix and model sizes disagree")
     if side.size != size:
         raise ValueError(
             f"side info covers {side.size} entities, model has {size}")
-    Z = walk.matrix
     X, Y = model.vectors, model.context
     L = side.node_laplacian
     log.info("refinement start: objective %.6e", objective_value(Z, X, Y, L))

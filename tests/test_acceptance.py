@@ -66,7 +66,7 @@ class TestCriterion02MotifOracle:
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, 6))
             R0 = (rng.random((n, m)) < 0.5).astype(float)
-            got1, got2 = motif_relations(R0)
+            got1, got2 = (R.toarray() for R in motif_relations(R0))
             want1, want2 = oracles.motif_enumeration(R0)
             worst = max(worst, float(np.abs(got1 - want1).max()),
                         float(np.abs(got2 - want2).max()))
@@ -83,7 +83,7 @@ class TestCriterion03Factorization:
         for size, width in ((9, 9), (12, 12), (7, 7)):
             Z = rng.normal(size=(size, width))
             Z = (Z + Z.T) / 2.0  # factorization target is square symmetric
-            walk = WalkMatrix(matrix=Z, n=size)
+            walk = WalkMatrix(stored=Z, n=size)
             theta = np.linalg.svd(Z, compute_uv=False)
             for k in range(1, size + 1):
                 model = factorize(walk, k)

@@ -427,6 +427,11 @@ class TestTraceContract:
         uncalled = [name for names in self.TRACED.values()
                     for name in names if not calls[name]]
         assert not uncalled
+        # describe clusters the nodes, then in topic mode the attributes
+        before = calls["kmeans"]
+        assert main(["describe", *_base_argv(paths, "--dim", "4"),
+                     "--attr-clusters", "2"]) == 0
+        assert calls["kmeans"] - before == 2
 
 
 class TestSelftestAndParser:

@@ -83,10 +83,38 @@ class TestWalkMatrix:
             assert np.array_equal(Z, ref)
             assert np.array_equal(Z, Z.T)
 
+    @pytest.mark.parametrize("order", [1, 4, 10])
+    @pytest.mark.parametrize("last_block", ["partial", "one column"])
+    def test_csr_form_equals_dense(self, order, last_block, monkeypatch):
+        """At a rank `factorize` runs Lanczos for, the walk is stored as
+        CSR (sorted int32 indices, no stored zeros) holding exactly the
+        dense walk's values."""
+        g = planted_attributed_sbm(nodes=100, blocks=4, attrs_per_block=12,
+                                   inclusion=0.3, seed=3)
+        hetero = build_hetero_adjacency(g)
+        size = hetero.matrix.shape[0]
+        assert size % embedding.WALK_BLOCK > 1  # a partial last block
+        if last_block == "one column":
+            monkeypatch.setattr(embedding, "WALK_BLOCK", size - 1)
+        dense = walk_matrix(hetero, order=order)
+        assert isinstance(dense.stored, np.ndarray)
+        dim = size // LANCZOS_MIN_RATIO
+        walk = walk_matrix(hetero, order=order, dim=dim)
+        Z = walk.stored
+        assert type(Z) is sparse.csr_array
+        assert Z.indices.dtype == np.int32 and Z.indptr.dtype == np.int32
+        assert np.all(Z.data != 0.0)
+        rows = np.repeat(np.arange(size), np.diff(Z.indptr))
+        assert np.all(np.diff(rows * size + Z.indices) > 0)  # sorted, unique
+        assert np.array_equal(walk.matrix, dense.matrix)
+        assert walk.n == dense.n and walk.m == dense.m
+        assert isinstance(walk_matrix(hetero, order=order,
+                                      dim=dim + 1).stored, np.ndarray)
+
     def test_attribute_count_read_off_shape(self):
         Z = np.zeros((7, 7))
         for k in (0, 3, 7):
-            assert WalkMatrix(matrix=Z, n=k).m == Z.shape[0] - k
+            assert WalkMatrix(stored=Z, n=k).m == Z.shape[0] - k
 
     def test_parameter_validation(self):
         B = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -107,7 +135,7 @@ def _symmetric(rng, size):
 
 
 def _walk_of(Z):
-    return WalkMatrix(matrix=np.asarray(Z, dtype=float), n=Z.shape[0])
+    return WalkMatrix(stored=np.asarray(Z, dtype=float), n=Z.shape[0])
 
 
 def _check_planted_matches_svd(nodes, dim):
@@ -215,7 +243,7 @@ class TestFactorize:
         for _ in range(200):
             E = rng.normal(size=Z.shape)
             perturbed = Z + (E + E.T) * (0.5e-15 * np.abs(Z).max())
-            model = factorize(WalkMatrix(matrix=perturbed, n=walk.n), 4)
+            model = factorize(WalkMatrix(stored=perturbed, n=walk.n), 4)
             worst = max(worst, float(np.abs(model.vectors - ref).max()))
         assert worst <= 1e-12
 
@@ -263,6 +291,26 @@ class TestLanczosFactorize:
         model = factorize(_walk_of(np.zeros((400, 400))), 8)
         assert model.vectors.shape == (400, 8)
         assert not model.vectors.any() and not model.context.any()
+
+    def test_csr_walk_gives_the_dense_walks_factors(self):
+        """The CSR walk goes to `eigsh` as it is, and gives exactly the
+        factors of the dense walk, which `factorize` converts; below the
+        Lanczos ratio a CSR walk is made dense for `eigh`."""
+        g = planted_attributed_sbm(nodes=300, blocks=3, seed=0)
+        hetero = build_hetero_adjacency(g)
+        dense = walk_matrix(hetero)
+        dim = hetero.matrix.shape[0] // LANCZOS_MIN_RATIO
+        walk = walk_matrix(hetero, dim=dim)
+        assert sparse.issparse(walk.stored)
+        assert np.array_equal(factorize(walk, dim).vectors,
+                              factorize(dense, dim).vectors)
+        assert np.array_equal(factorize(walk, dim + 1).vectors,
+                              factorize(dense, dim + 1).vectors)
+
+    def test_non_symmetric_csr_rejected(self):
+        Z = sparse.csr_array(np.arange(1.0, 10.0).reshape(3, 3))
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            factorize(WalkMatrix(stored=Z, n=3), 2)
 
     @pytest.mark.parametrize("error", [
         scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], []),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,24 +75,24 @@ class TestAttributeSimilarity:
 class TestMotifRelations:
     def test_worked_example(self):
         R1, R2 = motif_relations(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert R1.tolist() == [[0.0, 1.0], [0.0, 1.0]]
-        assert R2.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+        assert R1.toarray().tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        assert R2.toarray().tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
     def test_single_entry_no_instances(self):
         R1, R2 = motif_relations(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert not R1.any() and not R2.any()
+        assert not R1.toarray().any() and not R2.toarray().any()
 
     def test_all_ones_counts(self):
         n, m = 4, 3
         R1, R2 = motif_relations(np.ones((n, m)))
-        assert np.all(R1 == n - 1) and np.all(R2 == m - 1)
+        assert np.all(R1.toarray() == n - 1) and np.all(R2.toarray() == m - 1)
 
     def test_weighted_mode_scales_counts(self):
         R0 = np.array([[2.0, 0.5], [0.0, 3.0]])
         plain = motif_relations(R0)
         weighted = motif_relations(R0, weighted=True)
-        assert np.array_equal(weighted[0], plain[0] * R0)
-        assert np.array_equal(weighted[1], plain[1] * R0)
+        assert np.array_equal(weighted[0].toarray(), plain[0].toarray() * R0)
+        assert np.array_equal(weighted[1].toarray(), plain[1].toarray() * R0)
 
     def test_matches_instance_enumeration(self):
         rng = np.random.default_rng(2)
@@ -99,8 +101,8 @@ class TestMotifRelations:
                               int(rng.integers(1, 6)))) < 0.5).astype(float)
             ours = motif_relations(R0)
             ref = oracles.motif_enumeration(R0)
-            assert np.array_equal(ours[0], ref[0])
-            assert np.array_equal(ours[1], ref[1])
+            assert np.array_equal(ours[0].toarray(), ref[0])
+            assert np.array_equal(ours[1].toarray(), ref[1])
 
 
 class TestCombineRelations:
@@ -108,12 +110,12 @@ class TestCombineRelations:
         R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
         out = combine_relations(R0, np.zeros((2, 2)), np.zeros((2, 2)),
                                 (1.0, 0.0, 0.0))
-        assert np.array_equal(out, R0)
+        assert np.array_equal(out.toarray(), R0)
 
     def test_all_zero_deltas(self):
         R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
         out = combine_relations(R0, R0, R0, (0.0, 0.0, 0.0))
-        assert not out.any()
+        assert not out.toarray().any()
 
     def test_composed_example(self):
         # parts: R0 itself, mnorm(R1)=[[0,1],[0,1]], mnorm(R2)=[[1,1],[0,0]]
@@ -121,7 +123,7 @@ class TestCombineRelations:
         R0 = np.array([[1.0, 1.0], [0.0, 1.0]])
         R1, R2 = motif_relations(R0)
         out = combine_relations(R0, R1, R2, (1.0, 1.0, 1.0))
-        assert np.allclose(out, [[2 / 3, 1.0], [0.0, 2 / 3]])
+        assert np.allclose(out.toarray(), [[2 / 3, 1.0], [0.0, 2 / 3]])
 
     def test_negative_delta_rejected(self):
         Z = np.zeros((1, 1))
@@ -133,6 +135,79 @@ class TestCombineRelations:
         Z = np.zeros((1, 1))
         with pytest.raises(ValueError):
             combine_relations(Z, Z, Z, (1.0, 1.0))
+
+
+def _dense_reference_b(g, deltas, weighted):
+    """B from dense n-by-m relation arrays, by the same operations in the
+    same order as the sparse build, assembled as the build assembles."""
+    R0 = g.attr_weights.toarray()
+    support = (R0 > 0).astype(float)
+    R1 = support * (support.sum(axis=0)[None, :] - 1.0)
+    R2 = support * (support.sum(axis=1)[:, None] - 1.0)
+    if weighted:
+        R1, R2 = R1 * R0, R2 * R0
+    rel = mnorm(R0) * deltas[0]
+    for d, R in zip(deltas[1:], (R1, R2)):
+        rel += mnorm(R) * d
+    rel = mnorm(rel)
+    sim = attribute_similarity(R0)
+    if not rel.any() and not sim.any():
+        rel, sim = rel[:, :0], sim[:0, :0]
+    return sparse.csr_array(sparse.bmat([[g.adjacency, rel], [rel.T, sim]],
+                                        format="csr"))
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(14)
+    planted = planted_attributed_sbm(nodes=150, blocks=3, seed=14)
+    weights = planted.attr_weights.copy()
+    weights.data = rng.uniform(0.5, 3.0, weights.nnz)
+    weighted = dataclasses.replace(planted, attr_weights=weights)
+    A, _ = oracles.random_connected_graph(rng)
+    full = AttributedGraph.from_dense(
+        A, rng.uniform(0.5, 3.0, size=(A.shape[0], 3)))
+    # a stored 0 weight is no support: node 0 carries only attribute 0
+    R = sparse.csr_array((np.array([0.0, 1.0, 2.0, 1.0, 1.0]),
+                          np.array([1, 0, 1, 0, 1]),
+                          np.array([0, 2, 3, 5])), shape=(3, 2))
+    path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    explicit_zero = AttributedGraph(
+        adjacency=sparse.csr_array(path), attr_weights=R,
+        node_ids=["a", "b", "c"], attr_ids=["x", "y"])
+    explicit_zero.validate()
+    bare = dataclasses.replace(
+        planted, attr_weights=sparse.csr_array((planted.n, 0)), attr_ids=[])
+    return {
+        "default": (planted, (1.0, 1.0, 1.0), False),
+        "weighted motifs": (weighted, (1.0, 1.0, 1.0), True),
+        "non-default deltas": (weighted, (0.3, 1.7, 0.2), False),
+        "all-zero deltas": (planted, (0.0, 0.0, 0.0), False),
+        "full support": (full, (0.5, 1.0, 2.0), True),
+        "explicit zero weight": (explicit_zero, (1.0, 1.0, 1.0), False),
+        "no attributes": (bare, (1.0, 1.0, 1.0), False),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bit_identity_cases()))
+def test_sparse_build_bit_identical_to_dense_reference(case):
+    g, deltas, weighted = _bit_identity_cases()[case]
+    B = build_hetero_adjacency(g, deltas=deltas,
+                               weighted_motifs=weighted).matrix
+    ref = _dense_reference_b(g, deltas, weighted)
+    assert np.array_equal(B.toarray(), ref.toarray())
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(B, field), getattr(ref, field))
+
+
+def test_relations_off_the_support_rejected():
+    R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
+    off = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="support"):
+        combine_relations(R0, off, R0, (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        combine_relations(R0, -R0, R0, (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        motif_relations(-R0)
 
 
 def _minimal_graph():
@@ -187,7 +262,7 @@ class TestBuildHeteroAdjacency:
                 continue  # degenerate input collapsed to pure topology
             R0 = g.attr_weights.toarray()
             rel = combine_relations(R0, *motif_relations(R0),
-                                    (1.0, 1.0, 1.0))
+                                    (1.0, 1.0, 1.0)).toarray()
             dense = np.block([[g.adjacency.toarray(), rel],
                               [rel.T, attribute_similarity(R0)]])
             assert np.array_equal(hetero.matrix.toarray(), dense)

@@ -7,19 +7,27 @@ replaced break: `build_hetero_adjacency` read 2.45 N^2, `walk_matrix`
 is given).  Column blocks, in-place accumulation, the node-block
 solve and one node Laplacian per round bring them to about 1.25, 1.16
 and 0.95.  With the combined graph B counted, live across the walk, a
-dense B read 2.15 N^2; B held as CSR brings it to about 1.25, the peak
-of building B.  `objective_value`, given its L, read 1.00 N^2 with a
-whole residual; residual row blocks of 256 bring it to about 0.17.
-`build_side_info` stores no n-by-n source (it read 1.33 N^2 when it
-stored both).  `side_enhance` builds them inside its node Laplacian and
-still peaks at about 0.95: the attribute cosine's n-by-m temporaries
-are freed before the modularity matrix is made (the other order read
-1.33).
+dense B read 2.15 N^2; B held as CSR brings it to about 1.15, the peak
+of the dense walk.  The relation block built on the support of the
+attribute weights, instead of from dense n-by-m arrays, brings the
+combined graph from 1.25 to about 0.45 N^2: the unit attribute columns
+and the m-by-m similarity.  At a rank `factorize` runs Lanczos for, the
+walk is stored as CSR (15% of its entries are nonzero) and peaks at
+about 0.67 N^2, its row pieces and the mirrored copy.
+`objective_value`, given its L, read 1.00 N^2 with a whole residual;
+residual row blocks of 256 bring it to about 0.17.  `build_side_info`
+stores no n-by-n source (it read 1.33 N^2 when it stored both).
+`side_enhance` builds them inside its node Laplacian and still peaks at
+about 0.95: the attribute cosine's n-by-m temporaries are freed before
+the modularity matrix is made (the other order read 1.33).
 
 Whole commands, run through `cli.main` from the TSV files, peak at about
-1.68 N^2 (`embed`) and 2.08 N^2 (`enhance`), and `eval-cluster` on the
+0.72 N^2 (`embed`) and 1.30 N^2 (`enhance`), and `eval-cluster` on the
 refine-cluster benchmark shape (N = 1060, walk order 10, refined) at
-about 2.78 N^2; their bounds leave the same headroom, about 1.3 times.
+about 2.75 N^2; their bounds leave the same headroom, about 1.3 times.
+With the walk dense and the relation block built densely, `embed` read
+1.79 N^2 and `enhance` 2.07 N^2, so a command that makes the CSR walk
+dense whole, through `WalkMatrix.matrix` or otherwise, breaks its bound.
 Holding both sources for the whole round read 2.97 N^2 for `enhance`
 and 4.22 N^2 for `eval-cluster`.
 
@@ -67,12 +75,19 @@ def _peak_multiple(size, fn, *args):
 
 def test_hetero_peak(planted):
     g, _, _ = planted
-    assert _peak_multiple(g.n + g.m, build_hetero_adjacency, g) <= 1.8
+    assert _peak_multiple(g.n + g.m, build_hetero_adjacency, g) <= 0.6
 
 
 def test_walk_peak(planted):
     g, hetero, _ = planted
     assert _peak_multiple(g.n + g.m, walk_matrix, hetero) <= 1.5
+
+
+def test_csr_walk_peak(planted):
+    g, hetero, _ = planted
+    # dim 64 takes Lanczos at N = 1504, so the walk is built as CSR
+    assert _peak_multiple(g.n + g.m, lambda: walk_matrix(
+        hetero, dim=64)) <= 0.9
 
 
 def test_walk_peak_with_combined_graph(planted):
@@ -129,7 +144,7 @@ def planted_files(planted, tmp_path_factory):
     return _write_files(planted[0], tmp_path_factory.mktemp("planted"))
 
 
-@pytest.mark.parametrize("command, bound", [("embed", 2.2), ("enhance", 2.7)])
+@pytest.mark.parametrize("command, bound", [("embed", 1.0), ("enhance", 1.7)])
 def test_command_peak(planted, planted_files, command, bound):
     argv = [command, "--out", str(planted_files / f"{command}.tsv")]
     assert _command_peak(planted[0], planted_files, argv) <= bound

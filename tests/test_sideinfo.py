@@ -370,7 +370,7 @@ class TestSideEnhance:
 
     def test_shape_mismatch_rejected(self):
         g, walk, model, side = self._setup()
-        small = WalkMatrix(matrix=np.eye(2), n=2)
+        small = WalkMatrix(stored=np.eye(2), n=2)
         with pytest.raises(ValueError, match="sizes disagree"):
             side_enhance(model, small, side)
         # a topology-only model+walk pair covers only the n nodes, while
@@ -383,6 +383,40 @@ class TestSideEnhance:
         assert side.size == g.n + g.m and g.m > 0
         with pytest.raises(ValueError, match="side info"):
             side_enhance(ablated, walk_abl, side)
+
+    def test_csr_walk_matches_dense_walk(self):
+        """At a Lanczos rank the walk is stored as CSR; the updates, the
+        objective and the round read it as is and agree with the dense
+        walk to rounding."""
+        from semgraph import (build_hetero_adjacency, factorize,
+                              planted_attributed_sbm, walk_matrix)
+        g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
+        hetero = build_hetero_adjacency(g)
+        walk, dense = walk_matrix(hetero, dim=4), walk_matrix(hetero)
+        assert sparse.issparse(walk.stored)
+        assert isinstance(dense.stored, np.ndarray)
+        model = factorize(walk, 4)
+        side = build_side_info(g)
+        L = side.node_laplacian
+        Z, X, Y = walk.stored, model.vectors, model.context
+
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        assert close(update_x(Z, Y, L), update_x(dense.stored, Y, L))
+        assert close(update_y(Z, X), update_y(dense.stored, X))
+        assert close(objective_value(Z, X, Y, L),
+                     objective_value(dense.stored, X, Y, L))
+        a = side_enhance(model, walk, side)
+        b = side_enhance(model, dense, side)
+        assert close(a.vectors, b.vectors) and close(a.context, b.context)
+
+    def test_non_finite_csr_walk_rejected(self):
+        Z = sparse.csr_array(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            update_x(Z, np.ones((2, 1)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            update_y(Z, np.ones((2, 1)))
 
     def test_node_laplacian_built_once(self, monkeypatch):
         _, walk, model, side = self._setup()

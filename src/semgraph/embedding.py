@@ -4,10 +4,11 @@ The walk matrix is built by propagating column blocks through the sparse
 transition matrix.  Each of its entries is computed once and written into
 both triangles, so it is exactly symmetric by construction, and its best
 rank-k factorization comes from the k eigenpairs of largest magnitude:
-implicitly restarted Lanczos (ARPACK) on its sparse form when k is a
-small fraction of its size, a dense symmetric eigensolver otherwise.
-The walk is stored in the form that solver reads: CSR for Lanczos, a
-dense array for the dense solver.
+thick-restart Lanczos, written with numpy, on its sparse form when k is
+a small fraction of its size, numpy's dense symmetric eigensolver
+otherwise.  The walk is stored in the form that solver reads: CSR for
+Lanczos, a dense array for the dense solver.  Neither solver loads
+scipy.linalg or its second OpenBLAS.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ LANCZOS_MIN_RATIO = 20
 # fastest and 16 or 512 up to 1.7x slower (grid in CHANGES.md); 64 keeps
 # the three N-by-width buffers smaller.
 WALK_BLOCK = 64
+
+# Restarts `_lanczos_pairs` makes before it reports non-convergence.  On
+# planted walks of size 720-4496 at dim 4-64 it converged within 18.
+LANCZOS_MAX_RESTARTS = 1000
 
 
 def _takes_lanczos(size: int, dim: int) -> bool:
@@ -189,10 +194,11 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     With Z = Q diag(lam) Q^T, the `dim` eigenpairs of largest |lam| give
     singular values |lam|, left vectors Q and right vectors Q * sign(lam).
     When the matrix is at least LANCZOS_MIN_RATIO times larger than
-    `dim`, only those pairs are computed, by implicitly restarted Lanczos
-    (ARPACK `eigsh`) on the sparse (CSR) matrix from a fixed-seed start
-    vector; otherwise dense `eigh` computes all pairs.  Both give the
-    same factors to rounding.  Each solver reads the walk's stored form
+    `dim`, only those pairs are computed, by thick-restart Lanczos
+    (`_lanczos_pairs`, ARPACK's method and settings in numpy) on the
+    sparse (CSR) matrix from a fixed-seed start vector; otherwise dense
+    `eigh` computes all pairs.  Both give the same factors to rounding.
+    Each solver reads the walk's stored form
     when it is the one it needs (the form `walk_matrix` builds for this
     `dim`); any other form is converted.  Both factors are scaled by the
     square root of the kept singular values; the right one is the left
@@ -237,17 +243,75 @@ def _dense_pairs(Z):
 
 
 def _lanczos_pairs(Z, dim):
-    """The `dim` eigenpairs of the CSR Z of largest magnitude, by ARPACK."""
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+    """The `dim` eigenpairs of largest magnitude of the symmetric CSR Z.
 
+    Thick-restart (Krylov-Schur) Lanczos, which computes what ARPACK's
+    implicitly restarted Lanczos does, with its settings: a fixed-seed
+    start vector, NCV = min(size, max(2 dim + 1, 20)) basis vectors, and
+    Ritz pair i taken as converged when its residual estimate
+    |beta * s_i| is at most eps * max(|theta_i|, eps^(2/3)).  Each new
+    vector is orthogonalized against the whole basis by classical
+    Gram-Schmidt, twice.  Each restart keeps the dim + min(nconv,
+    (NCV - dim) // 2) Ritz vectors of largest |theta|, nconv being how
+    many of the wanted ones have converged, and the residual direction.
+    When the basis spans an invariant subspace (beta negligible against
+    |Z v|), the basis continues from a fresh random vector orthogonal to
+    it, drawn from the start vector's generator.  Pairs come in order of
+    decreasing |theta|.
+    """
     size = Z.shape[0]
-    if Z.count_nonzero() == 0:  # ARPACK rejects a start vector Z maps to 0
-        return np.zeros(dim), np.eye(size, dim)
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, size)
-    try:
-        return eigsh(Z, k=dim, which="LM", v0=v0)
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise _not_converged(Z) from exc
+    ncv = min(size, max(2 * dim + 1, 20))
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    V = np.zeros((ncv + 1, size))  # rows: the basis, then the residual
+    T = np.zeros((ncv, ncv))  # Z projected on the basis
+    v0 = rng.uniform(-1.0, 1.0, size)
+    V[0] = v0 / np.linalg.norm(v0)
+    start, norm_z = 0, 0.0  # norm_z: largest |Z v| seen, a bound <= ||Z||
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        for j in range(start, ncv):
+            w = Z @ V[j]
+            norm_z = max(norm_z, float(np.linalg.norm(w)))
+            basis = V[:j + 1]
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                h = basis @ w
+                w -= h @ basis
+                T[j, j] += h[j]
+            beta = float(np.linalg.norm(w))
+            if j + 1 == size:  # the basis spans the whole space
+                beta = 0.0
+            elif beta > eps * norm_z:
+                V[j + 1] = w / beta
+            else:  # the basis spans an invariant subspace
+                beta = 0.0
+                V[j + 1] = _orthonormal_to(basis,
+                                           rng.uniform(-1.0, 1.0, size))
+            if j + 1 < ncv:
+                T[j, j + 1] = T[j + 1, j] = beta
+        theta, S = np.linalg.eigh(T)
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta, S = theta[order], S[:, order]
+        # Z (V^T S) = (V^T S) diag(theta) + V[ncv] (outer) coupling
+        coupling = beta * S[-1]
+        floor = eps * np.maximum(np.abs(theta[:dim]), eps ** (2.0 / 3.0))
+        nconv = int(np.count_nonzero(np.abs(coupling[:dim]) <= floor))
+        if nconv == dim:
+            return theta[:dim], V[:ncv].T @ S[:, :dim]
+        start = dim + min(nconv, (ncv - dim) // 2)
+        V[:start] = S[:, :start].T @ V[:ncv]
+        V[start] = V[ncv]
+        T[:] = 0.0
+        T[:start, :start] = np.diag(theta[:start])
+        T[start, :start] = T[:start, start] = coupling[:start]
+    raise _not_converged(Z)
+
+
+def _orthonormal_to(basis, x):
+    """x made orthogonal to the orthonormal rows of `basis` by classical
+    Gram-Schmidt, twice, and normalized."""
+    for _ in range(2):
+        x -= (basis @ x) @ basis
+    return x / np.linalg.norm(x)
 
 
 def _not_converged(Z):

@@ -52,8 +52,10 @@ def _check_motifs(rng, rounds):
 def _check_factorization(rng, rounds):
     """Eckart-Young tail norms on random symmetric matrices like the walk
     matrix; their singular values are the |eigenvalues|.  Every rank of
-    small matrices, which take the dense solver, then one rank of a
-    larger, mostly zero one, which takes the Lanczos solver."""
+    small matrices, which take the dense solver, then one rank of three
+    larger ones, which take the Lanczos solver: a mostly zero one, one
+    whose largest eigenvalues alternate in sign, and one of rank below
+    the rank asked for."""
     worst = 0.0
     for _ in range(rounds):
         size = int(rng.integers(2, 10))
@@ -64,7 +66,13 @@ def _check_factorization(rng, rounds):
     k = 8
     size = LANCZOS_MIN_RATIO * k
     Z = rng.normal(size=(size, size)) * (rng.random((size, size)) < 0.15)
-    return max(worst, _tail_gap((Z + Z.T) / 2.0, k)), 1e-8
+    Q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+    mixed = np.linspace(2.0, 1.0, size) * (-1.0) ** np.arange(size)
+    low_rank = np.zeros(size)
+    low_rank[:4] = [3.0, -2.0, 1.5, -1.0]
+    for target in (Z, (Q * mixed) @ Q.T, (Q * low_rank) @ Q.T):
+        worst = max(worst, _tail_gap((target + target.T) / 2.0, k))
+    return worst, 1e-8
 
 
 def _tail_gap(target, k):

@@ -15,10 +15,22 @@ from semgraph import (build_hetero_adjacency, build_side_info, factorize,
                       side_enhance, walk_matrix, write_embeddings)
 from semgraph import cli, evaluation, sideinfo
 from semgraph.cli import build_parser, main
+from semgraph.embedding import LANCZOS_MIN_RATIO
 
 
 def _write(path, rows):
     path.write_text("".join(f"{r}\n" for r in rows), encoding="utf-8")
+
+
+def _write_graph(g, directory):
+    """Write g's edges and weighted attributes as TSV; return the paths."""
+    A, R = g.adjacency.tocoo(), g.attr_weights.tocoo()
+    edges, attrs = directory / "edges.tsv", directory / "attrs.tsv"
+    _write(edges, [f"{g.node_ids[i]}\t{g.node_ids[j]}"
+                   for i, j in zip(A.row, A.col) if i < j])
+    _write(attrs, [f"{g.node_ids[i]}\t{g.attr_ids[w]}\t{v:.17g}"
+                   for i, w, v in zip(R.row, R.col, R.data)])
+    return edges, attrs
 
 
 @pytest.fixture
@@ -104,12 +116,7 @@ class TestEmbed:
         """Artifacts are byte-identical only for a fixed BLAS configuration;
         across thread counts they must agree to rounding level."""
         g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
-        A, R = g.adjacency.tocoo(), g.attr_weights.tocoo()
-        edges, attrs = tmp_path / "edges.tsv", tmp_path / "attrs.tsv"
-        _write(edges, [f"{g.node_ids[i]}\t{g.node_ids[j]}"
-                       for i, j in zip(A.row, A.col) if i < j])
-        _write(attrs, [f"{g.node_ids[i]}\t{g.attr_ids[w]}\t{v:.17g}"
-                       for i, w, v in zip(R.row, R.col, R.data)])
+        edges, attrs = _write_graph(g, tmp_path)
         src = str(Path(semgraph.__file__).resolve().parents[1])
         vectors = []
         for threads in ("1", "2"):
@@ -367,9 +374,24 @@ class TestImportCost:
         assert self._loaded_after("scipy.linalg", code) == "False"
 
     def test_cli_import_leaves_scipy_sparse_linalg_unloaded(self):
-        """Only the Lanczos branch of `factorize` uses scipy.sparse.linalg;
-        runs that take dense `eigh` must not pay for importing it."""
+        """No command uses scipy.sparse.linalg (the Lanczos branch of
+        `factorize` is written in numpy), so none pays for importing it."""
         assert self._loaded_after("scipy.sparse.linalg") == "False"
+
+    @pytest.mark.parametrize("module", ["scipy.sparse.linalg",
+                                        "scipy.linalg"])
+    def test_lanczos_embed_leaves_scipy_linalg_unloaded(self, module,
+                                                        tmp_path):
+        """A whole `embed` run at a size that takes the Lanczos branch
+        loads neither ARPACK's module nor scipy's second OpenBLAS."""
+        g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
+        dim = 4
+        assert g.n + g.m >= LANCZOS_MIN_RATIO * dim
+        edges, attrs = _write_graph(g, tmp_path)
+        argv = ["embed", "--edges", str(edges), "--attrs", str(attrs),
+                "--dim", str(dim), "--out", str(tmp_path / "emb.tsv")]
+        code = f"from semgraph import cli\nassert cli.main({argv!r}) == 0"
+        assert self._loaded_after(module, code) == "False"
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         """Every dense solve goes through numpy.linalg; importing the CLI

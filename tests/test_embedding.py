@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from scipy import sparse
 
 import oracles
@@ -10,7 +9,7 @@ from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
                       embed, factorize, planted_attributed_sbm, walk_matrix)
 from semgraph import embedding
 from semgraph.cli import main
-from semgraph.embedding import LANCZOS_MIN_RATIO
+from semgraph.embedding import LANCZOS_MIN_RATIO, _lanczos_pairs
 
 
 def _hetero_from_dense(B):
@@ -267,7 +266,7 @@ class TestFactorize:
 
 class TestLanczosFactorize:
     """`factorize` at sizes >= LANCZOS_MIN_RATIO * dim, which take the
-    truncated (ARPACK) solver instead of dense `eigh`."""
+    truncated (thick-restart Lanczos) solver instead of dense `eigh`."""
 
     def test_planted_walk_matches_svd(self):
         size = _check_planted_matches_svd(nodes=300, dim=16)
@@ -293,7 +292,7 @@ class TestLanczosFactorize:
         assert not model.vectors.any() and not model.context.any()
 
     def test_csr_walk_gives_the_dense_walks_factors(self):
-        """The CSR walk goes to `eigsh` as it is, and gives exactly the
+        """The CSR walk goes to Lanczos as it is, and gives exactly the
         factors of the dense walk, which `factorize` converts; below the
         Lanczos ratio a CSR walk is made dense for `eigh`."""
         g = planted_attributed_sbm(nodes=300, blocks=3, seed=0)
@@ -312,15 +311,10 @@ class TestLanczosFactorize:
         with pytest.raises(ValueError, match="exactly symmetric"):
             factorize(WalkMatrix(stored=Z, n=3), 2)
 
-    @pytest.mark.parametrize("error", [
-        scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], []),
-        scipy.sparse.linalg.ArpackError(-9999)])
-    def test_solver_failure_is_one_cli_error_line(self, error, tmp_path,
+    def test_solver_failure_is_one_cli_error_line(self, tmp_path,
                                                   monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise error
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        # no restart: the first Krylov basis does not converge at rank 4
+        monkeypatch.setattr(embedding, "LANCZOS_MAX_RESTARTS", 0)
         g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
         A, R = g.adjacency.tocoo(), g.attr_weights.tocoo()
         edges, attrs = tmp_path / "edges.tsv", tmp_path / "attrs.tsv"
@@ -334,6 +328,92 @@ class TestLanczosFactorize:
         err = capsys.readouterr().err
         assert err.startswith("error\t") and err.count("\n") == 1
         assert "factorization failed to converge" in err
+
+
+def _with_spectrum(rng, lam):
+    """Exactly symmetric Z = Q diag(lam) Q^T for a random orthogonal Q."""
+    Q = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))[0]
+    Z = (Q * lam) @ Q.T
+    return (Z + Z.T) / 2.0
+
+
+def _block_diagonal(rng, blocks, size, rank):
+    """`blocks` disconnected blocks of `size` rows, each of rank `rank`
+    with eigenvalues of mixed sign."""
+    pieces = []
+    for _ in range(blocks):
+        U = np.linalg.qr(rng.normal(size=(size, rank)))[0]
+        lam = rng.uniform(1.0, 10.0, rank) * rng.choice([-1.0, 1.0], rank)
+        pieces.append((U * lam) @ U.T)
+    Z = sparse.block_diag(pieces).toarray()
+    return (Z + Z.T) / 2.0
+
+
+class TestLanczosPairs:
+    """`_lanczos_pairs` against `numpy.linalg.eigh` at the Lanczos
+    threshold size: the `dim` eigenvalues of largest magnitude to 1e-12
+    relative, residual ||ZQ - Q diag(lam)|| <= 1e-12 ||Z||, orthonormal
+    Q, and the same bits from two calls."""
+
+    DIM = 8
+
+    def _check(self, Z, dim=DIM):
+        ref = np.linalg.eigvalsh(Z)
+        ref = ref[np.argsort(-np.abs(ref), kind="stable")][:dim]
+        norm = np.abs(ref[0])  # ||Z||_2
+        # eigenvalues that are zero in exact arithmetic are rounding noise
+        # in both solvers: compare those relative to ||Z||
+        scale = np.where(np.abs(ref) > 1e-12 * norm, np.abs(ref), norm)
+        lam, Q = _lanczos_pairs(sparse.csr_array(Z), dim)
+        assert np.all(np.abs(lam - ref) <= 1e-12 * scale)
+        assert np.linalg.norm(Z @ Q - Q * lam) <= 1e-12 * norm
+        assert np.abs(Q.T @ Q - np.eye(dim)).max() <= 1e-12
+        again = _lanczos_pairs(sparse.csr_array(Z), dim)
+        assert np.array_equal(lam, again[0]) and np.array_equal(Q, again[1])
+
+    def test_mixed_sign_spectrum(self):
+        rng = np.random.default_rng(20)
+        size = LANCZOS_MIN_RATIO * self.DIM
+        lam = np.linspace(10.0, 1.0, size) * (-1.0) ** np.arange(size)
+        self._check(_with_spectrum(rng, rng.permutation(lam)))
+
+    def test_repeated_eigenvalue_inside_top_k(self):
+        rng = np.random.default_rng(21)
+        lam = rng.uniform(-3.0, 3.0, LANCZOS_MIN_RATIO * self.DIM)
+        # a double eigenvalue -8 at ranks 3-4; rank 8 (5) and 9 (3) differ
+        lam[:self.DIM] = [10.0, -9.0, -8.0, -8.0, 7.0, -6.5, 6.0, 5.0]
+        self._check(_with_spectrum(rng, lam))
+
+    def test_disconnected_blocks_reach_invariant_subspace(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        # 8 blocks of rank 2: 17 distinct eigenvalues, 0 included, fewer
+        # than the 20 basis vectors, so the basis becomes invariant early
+        Z = _block_diagonal(rng, blocks=8, size=20, rank=2)
+        fresh = []  # basis sizes at which a fresh vector was drawn
+        orthonormal_to = embedding._orthonormal_to
+
+        def counted(basis, x):
+            fresh.append(len(basis))
+            return orthonormal_to(basis, x)
+
+        monkeypatch.setattr(embedding, "_orthonormal_to", counted)
+        self._check(Z)
+        assert fresh and min(fresh) < 20  # within the first basis
+
+    def test_rank_below_dim(self):
+        rng = np.random.default_rng(23)
+        size = LANCZOS_MIN_RATIO * self.DIM
+        lam = np.zeros(size)
+        lam[:3] = [4.0, -2.0, 1.0]
+        self._check(_with_spectrum(rng, lam))
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_threshold_size(self, dim):
+        """At size LANCZOS_MIN_RATIO * dim; at dim 1 the 20-vector basis
+        spans the whole space."""
+        rng = np.random.default_rng(24 + dim)
+        self._check(_with_spectrum(rng, rng.normal(
+            size=LANCZOS_MIN_RATIO * dim)), dim)
 
 
 class TestEmbed:

@@ -288,7 +288,10 @@ def _lanczos_pairs(Z, dim):
                                            rng.uniform(-1.0, 1.0, size))
             if j + 1 < ncv:
                 T[j, j + 1] = T[j + 1, j] = beta
-        theta, S = np.linalg.eigh(T)
+        try:
+            theta, S = np.linalg.eigh(T)
+        except np.linalg.LinAlgError as exc:
+            raise _not_converged(Z) from exc
         order = np.argsort(-np.abs(theta), kind="stable")
         theta, S = theta[order], S[:, order]
         # Z (V^T S) = (V^T S) diag(theta) + V[ncv] (outer) coupling

@@ -264,6 +264,10 @@ class TestFactorize:
             factorize(_walk_of(Z), 4)
 
 
+def _eigh_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 class TestLanczosFactorize:
     """`factorize` at sizes >= LANCZOS_MIN_RATIO * dim, which take the
     truncated (thick-restart Lanczos) solver instead of dense `eigh`."""
@@ -311,10 +315,14 @@ class TestLanczosFactorize:
         with pytest.raises(ValueError, match="exactly symmetric"):
             factorize(WalkMatrix(stored=Z, n=3), 2)
 
-    def test_solver_failure_is_one_cli_error_line(self, tmp_path,
-                                                  monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [
         # no restart: the first Krylov basis does not converge at rank 4
-        monkeypatch.setattr(embedding, "LANCZOS_MAX_RESTARTS", 0)
+        (embedding, "LANCZOS_MAX_RESTARTS", 0),
+        # `eigh` of the projected matrix does not converge
+        (np.linalg, "eigh", _eigh_fails)])
+    def test_solver_failure_is_one_cli_error_line(self, error, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.setattr(*error)
         g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
         A, R = g.adjacency.tocoo(), g.attr_weights.tocoo()
         edges, attrs = tmp_path / "edges.tsv", tmp_path / "attrs.tsv"

@@ -22,10 +22,14 @@ from .hetero import DENSE_SIZE_CAP, HeteroAdjacency, build_hetero_adjacency
 from .io import AttributedGraph
 
 # `factorize` uses Lanczos when size >= LANCZOS_MIN_RATIO * dim, dense
-# `eigh` otherwise.  On planted graphs of size 720-3000 at dim 32-128,
-# Lanczos was 1.7x-5.4x faster at every size/dim >= 22.5; at size/dim
-# <= 16.6 it was up to 2.3x slower, or within 0.02 s.
-LANCZOS_MIN_RATIO = 20
+# `eigh` otherwise.  `eigh` costs ~size^3 and Lanczos ~size * dim^2 per
+# restart, so the crossover sits at a fixed size/dim.  On planted walks
+# of size 720-3000 (walk orders 4 and 10, 2 threads; grid in CHANGES.md),
+# `_lanczos_pairs` at size/dim 16 took 0.46x-0.58x the time of `eigh` at
+# size >= 1504, 0.82x-0.90x at 720, and 0.92x-1.33x at 1060; at 14 it
+# was 1.11x-1.56x at 1060, and at 5.6-11.5 up to 3.4x.  Below the ratio
+# `eigh` also adds ~4.5 size^2 doubles of LAPACK workspace.
+LANCZOS_MIN_RATIO = 16
 
 # Width of the column blocks `walk_matrix` propagates.  Z does not depend
 # on it.  On planted graphs of size 720-3000, widths 64 and 128 were
@@ -207,13 +211,13 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     entries tied in magnitude (structurally symmetric entities) cannot
     flip a column under rounding.  `eigh` reads only one triangle, so a
     matrix that is not exactly symmetric is rejected; a CSR one is
-    compared with its transpose on the stored entries.
+    compared with its transpose in canonical form.
     """
     Z = walk.stored
     size = Z.shape[0]
     if not 1 <= dim <= size:
         raise ValueError(f"dim must be in [1, {size}], got {dim}")
-    symmetric = ((Z != Z.T).nnz == 0 if sparse.issparse(Z)
+    symmetric = (_csr_symmetric(Z) if sparse.issparse(Z)
                  else np.array_equal(Z, Z.T))
     if not symmetric:
         raise ValueError("walk matrix must be exactly symmetric")
@@ -232,6 +236,26 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     vectors = U * np.sqrt(np.abs(lam))
     return EmbeddingModel(vectors=vectors, context=vectors * np.sign(lam),
                           n=walk.n)
+
+
+def _csr_symmetric(Z):
+    """Whether the sparse Z equals its transpose, entry for entry.
+
+    In canonical form (sorted indices, no duplicates, no stored zeros)
+    a CSR matrix has one representation, and the transpose converted
+    to CSR is canonical too, so the two are equal exactly when their
+    index and value arrays are.  A non-canonical Z is made canonical on
+    a copy first.
+    """
+    Z = sparse.csr_array(Z)
+    if not Z.has_canonical_format or np.count_nonzero(Z.data) < Z.data.size:
+        Z = Z.copy()
+        Z.sum_duplicates()
+        Z.eliminate_zeros()
+    T = Z.T.tocsr()
+    return (np.array_equal(Z.indptr, T.indptr)
+            and np.array_equal(Z.indices, T.indices)
+            and np.array_equal(Z.data, T.data))
 
 
 def _dense_pairs(Z):

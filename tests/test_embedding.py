@@ -310,10 +310,104 @@ class TestLanczosFactorize:
         assert np.array_equal(factorize(walk, dim + 1).vectors,
                               factorize(dense, dim + 1).vectors)
 
+    def test_lanczos_from_16_dim(self, monkeypatch):
+        """Between 16 and 20 times `dim`, where the refine-cluster
+        benchmark sits, at its walk order 10: the walk is CSR and no
+        size-by-size matrix reaches `eigh`; the factors are those of the
+        dense solver that ran there at the earlier ratio of 20."""
+        g = planted_attributed_sbm(nodes=300, blocks=3, seed=0)
+        hetero = build_hetero_adjacency(g)
+        size = hetero.matrix.shape[0]
+        dim = size // 17
+        assert 16 * dim <= size < 20 * dim
+        walk = walk_matrix(hetero, order=10, dim=dim)
+        assert type(walk.stored) is sparse.csr_array
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        model = factorize(walk, dim)
+        assert shapes and all(shape[0] < size for shape in shapes)
+        monkeypatch.setattr(embedding, "LANCZOS_MIN_RATIO", 20)
+        ref = factorize(walk, dim)
+        assert shapes[-1] == (size, size)  # the dense solver ran
+        for got, want in ((model.vectors, ref.vectors),
+                          (model.context, ref.context)):
+            assert np.all(np.sum(got * want, axis=0) > 0)  # no sign flip
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
     def test_non_symmetric_csr_rejected(self):
         Z = sparse.csr_array(np.arange(1.0, 10.0).reshape(3, 3))
         with pytest.raises(ValueError, match="exactly symmetric"):
             factorize(WalkMatrix(stored=Z, n=3), 2)
+        # an entry with no mirror, and asymmetry at rounding level
+        for i, j, value in ((2, 0, 0.0), (0, 1, 1.0 + 2.0 ** -52)):
+            Z = np.ones((3, 3))
+            Z[i, j] = value
+            with pytest.raises(ValueError, match="exactly symmetric"):
+                factorize(WalkMatrix(stored=sparse.csr_array(Z), n=3), 2)
+
+    # symmetric 3-by-3 CSR arrays in non-canonical form, as (data,
+    # indices, indptr): the dense matrix is [[2, 1, 4], [1, 0, 0], [4, 0, 3]]
+    NON_CANONICAL = {
+        "unsorted indices": ([4.0, 2.0, 1.0, 1.0, 4.0, 3.0],
+                             [2, 0, 1, 0, 0, 2], [0, 3, 4, 6]),
+        "duplicate entries": ([2.0, 0.5, 0.5, 4.0, 1.0, 4.0, 3.0],
+                              [0, 1, 1, 2, 0, 0, 2], [0, 4, 5, 7]),
+        "one-sided stored zero": ([2.0, 1.0, 4.0, 1.0, 0.0, 4.0, 3.0],
+                                  [0, 1, 2, 0, 2, 0, 2], [0, 3, 5, 7]),
+    }
+
+    @pytest.mark.parametrize("form", NON_CANONICAL)
+    def test_non_canonical_symmetric_csr_accepted(self, form):
+        Z = sparse.csr_array(tuple(map(np.array, self.NON_CANONICAL[form])),
+                             shape=(3, 3))
+        dense = np.array([[2.0, 1.0, 4.0], [1.0, 0.0, 0.0], [4.0, 0.0, 3.0]])
+        assert np.array_equal(Z.toarray(), dense)
+        assert not (Z.has_canonical_format and np.all(Z.data))
+        before = [a.copy() for a in (Z.data, Z.indices, Z.indptr)]
+        model = factorize(WalkMatrix(stored=Z, n=3), 2)
+        assert np.array_equal(model.vectors, factorize(_walk_of(dense),
+                                                       2).vectors)
+        # made canonical on a copy: the caller's arrays are untouched
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(before, (Z.data, Z.indices, Z.indptr)))
+        Z.data[4] += 1.0  # off the diagonal in every form, unmirrored
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            factorize(WalkMatrix(stored=Z, n=3), 2)
+
+    def test_csr_symmetry_verdict_matches_entrywise_comparison(self):
+        """On random small CSR arrays with unsorted indices, duplicates,
+        stored zeros and cancelling duplicates, symmetric or not, the
+        verdict is that of comparing Z with its transpose entry by entry."""
+        rng = np.random.default_rng(30)
+        verdicts = set()
+        for _ in range(300):
+            size = int(rng.integers(1, 6))
+            count = int(rng.integers(0, 10))
+            rows, cols = rng.integers(0, size, (2, count))
+            values = rng.choice([0.0, 1.0, -1.0, 2.0], count)
+            if rng.random() < 0.5:  # mirrored, then maybe one value changed
+                rows, cols = np.r_[rows, cols], np.r_[cols, rows]
+                values = np.r_[values, values]
+                if count and rng.random() < 0.5:
+                    values[rng.integers(0, 2 * count)] += 1.0
+            shuffle = rng.permutation(len(rows))  # unsorted within a row
+            rows, cols, values = rows[shuffle], cols[shuffle], values[shuffle]
+            by_row = np.argsort(rows, kind="stable")
+            indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=size))]
+            Z = sparse.csr_array((values[by_row], cols[by_row], indptr),
+                                 shape=(size, size))
+            expected = (Z != Z.T).nnz == 0
+            dense = Z.toarray()
+            assert expected == np.array_equal(dense, dense.T)
+            assert embedding._csr_symmetric(Z) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("error", [
         # no restart: the first Krylov basis does not converge at rank 4
@@ -417,8 +511,8 @@ class TestLanczosPairs:
 
     @pytest.mark.parametrize("dim", [1, 4])
     def test_threshold_size(self, dim):
-        """At size LANCZOS_MIN_RATIO * dim; at dim 1 the 20-vector basis
-        spans the whole space."""
+        """At size LANCZOS_MIN_RATIO * dim; at dim 1 the basis, of
+        min(size, 20) vectors, is the whole space."""
         rng = np.random.default_rng(24 + dim)
         self._check(_with_spectrum(rng, rng.normal(
             size=LANCZOS_MIN_RATIO * dim)), dim)

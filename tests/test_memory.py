@@ -13,7 +13,9 @@ attribute weights, instead of from dense n-by-m arrays, brings the
 combined graph from 1.25 to about 0.45 N^2: the unit attribute columns
 and the m-by-m similarity.  At a rank `factorize` runs Lanczos for, the
 walk is stored as CSR (15% of its entries are nonzero) and peaks at
-about 0.67 N^2, its row pieces and the mirrored copy.
+about 0.67 N^2, its row pieces and the mirrored copy.  `factorize` on
+it peaks at about 0.25 N^2, the transposed copy its symmetry check
+compares Z with (the entrywise `Z != Z.T` read 0.42).
 `objective_value`, given its L, read 1.00 N^2 with a whole residual;
 residual row blocks of 256 bring it to about 0.17.  `build_side_info`
 stores no n-by-n source (it read 1.33 N^2 when it stored both).
@@ -22,23 +24,26 @@ about 0.95: the attribute cosine's n-by-m temporaries are freed before
 the modularity matrix is made (the other order read 1.33).
 
 Whole commands, run through `cli.main` from the TSV files, peak at about
-0.72 N^2 (`embed`) and 1.30 N^2 (`enhance`), and `eval-cluster` on the
-refine-cluster benchmark shape (N = 1060, walk order 10, refined) at
-about 2.75 N^2; their bounds leave the same headroom, about 1.3 times.
+0.72 N^2 (`embed`) and 1.30 N^2 (`enhance`).  On the refine-cluster
+benchmark shape (N = 1060 at dim 64, walk order 10), which takes
+Lanczos, `eval-cluster` peaks at about 2.10 N^2 refined and 1.15 N^2
+unrefined.  Their bounds leave the same headroom, about 1.3 times.
 With the walk dense and the relation block built densely, `embed` read
-1.79 N^2 and `enhance` 2.07 N^2, so a command that makes the CSR walk
+1.79 N^2 and `enhance` 2.07 N^2; at refine-cluster the dense walk and
+`eigh` read 2.75 and 2.32 N^2.  So a command that makes the CSR walk
 dense whole, through `WalkMatrix.matrix` or otherwise, breaks its bound.
 Holding both sources for the whole round read 2.97 N^2 for `enhance`
-and 4.22 N^2 for `eval-cluster`.
+and 4.22 N^2 for refined `eval-cluster`.
 
 `tracemalloc` sees only what Python and numpy allocate, not the
 workspace LAPACK mallocs inside `numpy.linalg`, so no bound here covers
 it: not the copy of I + L that the refinement's LU solve makes, nor the
-workspace of `eigh`.  The dense `eigh` in `factorize` (N < 20 * dim, as
-on the refine-cluster and classify-small shapes) raises the process
-high-water mark (VmHWM) by about 4.5 N^2 at N = 1060 and 4.8 N^2 at
-N = 720, where `tracemalloc` reads 1.3 and 1.7 N^2; that step sets the
-process peak.
+workspace of `eigh`.  The dense `eigh` in `factorize` (N < 16 * dim, as
+on the classify-small shape) raises the process high-water mark (VmHWM)
+by about 4.8 N^2 at N = 720, where `tracemalloc` reads 1.7 N^2; that
+step sets the process peak.  At refine-cluster, where it added about
+4.5 N^2 before that shape took Lanczos, the peak is now the
+refinement's solve.
 """
 
 import tracemalloc
@@ -88,6 +93,12 @@ def test_csr_walk_peak(planted):
     # dim 64 takes Lanczos at N = 1504, so the walk is built as CSR
     assert _peak_multiple(g.n + g.m, lambda: walk_matrix(
         hetero, dim=64)) <= 0.9
+
+
+def test_csr_factorize_peak(planted):
+    g, hetero, _ = planted
+    walk = walk_matrix(hetero, dim=64)
+    assert _peak_multiple(g.n + g.m, factorize, walk, 64) <= 0.32
 
 
 def test_walk_peak_with_combined_graph(planted):
@@ -150,14 +161,29 @@ def test_command_peak(planted, planted_files, command, bound):
     assert _command_peak(planted[0], planted_files, argv) <= bound
 
 
-def test_refined_eval_cluster_peak(tmp_path):
-    # the refine-cluster benchmark input; one k-means repeat, since the
-    # peak is set by the refinement before any clustering runs
+@pytest.fixture(scope="module")
+def refine_cluster(tmp_path_factory):
+    # the refine-cluster benchmark input
     g = planted_attributed_sbm(nodes=900, blocks=8, intra=0.057,
                                inter=0.019, attrs_per_block=20,
                                inclusion=0.19, seed=1)
     assert g.n + g.m == 1060
-    argv = ["eval-cluster", "--labels", str(tmp_path / "labels.tsv"),
-            "--order", "10", "--lambda1", "1", "--lambda2", "1",
-            "--repeats", "1"]
-    assert _command_peak(g, _write_files(g, tmp_path), argv) <= 3.6
+    return g, _write_files(g, tmp_path_factory.mktemp("refine"))
+
+
+def _eval_cluster_peak(refine_cluster, flags):
+    # one k-means repeat: the peak is set before any clustering runs
+    g, directory = refine_cluster
+    argv = ["eval-cluster", "--labels", str(directory / "labels.tsv"),
+            "--order", "10", "--repeats", "1"] + flags
+    return _command_peak(g, directory, argv)
+
+
+def test_refined_eval_cluster_peak(refine_cluster):
+    assert _eval_cluster_peak(refine_cluster, [
+        "--lambda1", "1", "--lambda2", "1"]) <= 2.7
+
+
+def test_unrefined_eval_cluster_peak(refine_cluster):
+    # the CSR walk: a dense one (and `eigh`) read 2.32 N^2
+    assert _eval_cluster_peak(refine_cluster, []) <= 1.5

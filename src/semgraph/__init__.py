@@ -6,7 +6,9 @@ matrix (`walk_matrix`) is symmetric and is factorized at rank k through
 its k eigenpairs of largest magnitude (`factorize`, or `embed` for the
 whole chain): by sparse Lanczos when k is a small fraction of its size,
 by a dense symmetric eigensolver otherwise.  `side_enhance` refines the
-factors with modularity and attribute-similarity regularizers.
+factors with modularity and attribute-similarity regularizers, whose
+node Laplacian it applies as a sparse-plus-low-rank operator and solves
+with by preconditioned conjugate gradients, making no n-by-n array.
 `evaluate` scores node vectors by clustering or classification, and
 `describe_direct` / `describe_topics` turn communities into ranked
 attribute keywords.

@@ -6,7 +6,9 @@ instances, compares the production implementation with the literal one in
 The walk and motif suites draw their instances and their expected values,
 and the metric suite its optimal matchings, from the same `reference`
 oracles the test suite uses, so a deployed binary can be sanity-checked
-without a test harness present.
+without a test harness present.  The refinement suite checks the
+structured node Laplacian and its conjugate-gradient solve against the
+dense Laplacian and an LU solve.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .embedding import LANCZOS_MIN_RATIO, WalkMatrix, factorize, walk_matrix
 from .evaluation import classify, clustering_accuracy, nmi, train_classifier
 from .hetero import build_hetero_adjacency, motif_relations
 from .io import AttributedGraph
+from .sideinfo import (SideInfo, _laplacian, _modularity_parts,
+                       _modularity_range, modularity_matrix, update_x)
 
 
 def _check_walk(rng, rounds):
@@ -84,6 +88,35 @@ def _tail_gap(target, k):
     return abs(resid - float(np.sqrt((s[k:] ** 2).sum())))
 
 
+def _check_refinement(rng, rounds):
+    """The node Laplacian operator against the dense D_T - T, relative to
+    ||T|| ||X||, and `update_x` with it against the literal update with an
+    LU solve; modularity's extremes must be the dense ones exactly."""
+    worst = 0.0
+    for _ in range(rounds):
+        g = AttributedGraph.from_dense(
+            *reference.random_connected_graph(rng, max_n=30, max_m=8))
+        side = SideInfo(g, tuple(rng.uniform(0.0, 3.0, size=2)))
+        Q = modularity_matrix(g)
+        if _modularity_range(*_modularity_parts(g)) != (Q.min(), Q.max()):
+            return 1.0, 1e-10
+        T = side.lambdas[0] * side.q_norm + side.lambdas[1] * side.s_norm
+        scale = max(float(np.linalg.norm(T)), 1e-300)
+        dense = _laplacian(T)
+        L = side.node_laplacian
+        X = rng.normal(size=(g.n, 3))
+        worst = max(worst, float(np.linalg.norm(L @ X - dense @ X))
+                    / (scale * float(np.linalg.norm(X))))
+        Z = rng.normal(size=(side.size, side.size))
+        Y = rng.normal(size=(side.size, 3))
+        left = Z @ Y
+        left[:g.n] = np.linalg.solve(np.eye(g.n) + dense, left[:g.n])
+        expect = np.linalg.solve(Y.T @ Y + np.eye(3), left.T).T
+        worst = max(worst, float(np.abs(update_x(Z, Y, L) - expect).max())
+                    / float(np.abs(expect).max()))
+    return worst, 1e-10
+
+
 def _check_metrics(rng, rounds):
     for _ in range(rounds):
         n = int(rng.integers(4, 40))
@@ -114,6 +147,7 @@ _SUITES = (
     ("walk-matrix vs dense oracle", _check_walk, 200),
     ("motif counts vs enumeration", _check_motifs, 200),
     ("factorization tail norms", _check_factorization, 40),
+    ("refinement operator and solve vs dense LU", _check_refinement, 100),
     ("metric sanity", _check_metrics, 100),
 )
 

@@ -324,6 +324,19 @@ class TestFailures:
         assert out.stderr.startswith("error\t") and named in out.stderr
         assert out.stderr.count("\n") == 1
 
+    def test_refinement_solve_failure_is_one_error_line(self, dataset,
+                                                        monkeypatch, capsys):
+        """A refinement solve that hits its iteration cap fails the run
+        with one error line, like the factorization's solver."""
+        monkeypatch.setattr(sideinfo, "REFINE_MAX_ITERATIONS", 0)
+        paths, tmp = dataset
+        code = main(["eval-cluster", *_base_argv(paths, "--dim", "4"),
+                     "--lambda1", "1", "--lambda2", "1", "--repeats", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\t") and err.count("\n") == 1
+        assert "refinement solve failed to converge" in err
+
     def test_size_cap_enforced(self, dataset, capsys):
         paths, tmp = dataset
         code = main(["embed", *_base_argv(paths, labels=False),
@@ -390,6 +403,29 @@ class TestImportCost:
         edges, attrs = _write_graph(g, tmp_path)
         argv = ["embed", "--edges", str(edges), "--attrs", str(attrs),
                 "--dim", str(dim), "--out", str(tmp_path / "emb.tsv")]
+        code = f"from semgraph import cli\nassert cli.main({argv!r}) == 0"
+        assert self._loaded_after(module, code) == "False"
+
+    @pytest.mark.parametrize("module", ["scipy.sparse.linalg",
+                                        "scipy.linalg"])
+    @pytest.mark.parametrize("command", ["eval-cluster", "enhance"])
+    def test_refinement_leaves_scipy_linalg_unloaded(self, module, command,
+                                                     tmp_path):
+        """A whole refined run at a Lanczos size solves the refinement
+        by the numpy conjugate gradients: neither scipy's iterative
+        solvers nor its second OpenBLAS are loaded."""
+        g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
+        dim = 4
+        assert g.n + g.m >= LANCZOS_MIN_RATIO * dim
+        edges, attrs = _write_graph(g, tmp_path)
+        labels = tmp_path / "labels.tsv"
+        _write(labels, [f"{node}\t{label}"
+                        for node, label in zip(g.node_ids, g.labels)])
+        argv = [command, "--edges", str(edges), "--attrs", str(attrs),
+                "--labels", str(labels), "--dim", str(dim),
+                "--lambda1", "1", "--lambda2", "1"]
+        argv += (["--repeats", "1"] if command == "eval-cluster"
+                 else ["--out", str(tmp_path / "emb.tsv")])
         code = f"from semgraph import cli\nassert cli.main({argv!r}) == 0"
         assert self._loaded_after(module, code) == "False"
 

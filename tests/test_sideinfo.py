@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 import oracles
+from semgraph import sideinfo
 from semgraph import (AttributedGraph, SideInfo, WalkMatrix, attribute_cosine,
                       build_side_info, embed, modularity_matrix,
                       objective_value, regularization_value, side_enhance,
@@ -15,6 +16,32 @@ from semgraph import (AttributedGraph, SideInfo, WalkMatrix, attribute_cosine,
 
 def _graph(A, R, **kwargs):
     return AttributedGraph.from_dense(A, R, **kwargs)
+
+
+def _dense_laplacian(side):
+    """The reference node Laplacian: D_T - T of the dense weighted sum T
+    of the mnorm-ed sources."""
+    lam1, lam2 = side.lambdas
+    return sideinfo._laplacian(lam1 * side.q_norm + lam2 * side.s_norm)
+
+
+def _close(got, expect, scale=None):
+    """Within 1e-12 of `expect`, relative to its norm or to `scale`."""
+    if scale is None:
+        scale = np.linalg.norm(expect)
+    return np.linalg.norm(got - expect) <= 1e-12 * scale
+
+
+def _matches_reference(L, side, X):
+    """L @ X and L's diagonal agree with the dense reference within
+    1e-12 of ||T|| ||X||: where the reference L is exactly zero (T
+    diagonal), the operator's D_T - T cancels to rounding."""
+    lam1, lam2 = side.lambdas
+    T = lam1 * side.q_norm + lam2 * side.s_norm
+    dense = _dense_laplacian(side)
+    scale = np.linalg.norm(T)
+    return (_close(L @ X, dense @ X, scale * np.linalg.norm(X))
+            and _close(L.diagonal(), np.diag(dense), scale))
 
 
 def _triangle(attrs=None):
@@ -92,7 +119,8 @@ class TestAttributeCosine:
 class TestBuildSideInfo:
     def test_zero_lambdas_zero_laplacian(self):
         side = build_side_info(_triangle(), lambdas=(0.0, 0.0))
-        assert not side.node_laplacian.any()
+        L = side.node_laplacian
+        assert not (L @ np.eye(3)).any() and not L.diagonal().any()
 
     def test_single_source_pads_attribute_rows(self):
         """One source: L is that source's Laplacian over the n nodes, and
@@ -101,7 +129,9 @@ class TestBuildSideInfo:
         side = build_side_info(g, lambdas=(1.0, 0.0))
         L = side.node_laplacian
         q = side.q_norm
-        assert np.array_equal(L, np.diag(q.sum(axis=1)) - q)
+        dense = _dense_laplacian(side)
+        assert np.array_equal(dense, np.diag(q.sum(axis=1)) - q)
+        assert _matches_reference(L, side, np.eye(g.n))
         assert L.shape == (g.n, g.n) and side.size == g.n + g.m and g.m > 0
         rng = np.random.default_rng(3)
         Z = rng.normal(size=(side.size, side.size))
@@ -117,10 +147,13 @@ class TestBuildSideInfo:
             ones = np.ones(g.n)
             for lambdas in ((1.0, 0.0), (0.0, 1.0),
                             (rng.uniform(0, 2), rng.uniform(0, 2))):
-                L = build_side_info(g, lambdas=lambdas).node_laplacian
+                side = build_side_info(g, lambdas=lambdas)
+                L = side.node_laplacian
                 assert L.shape == (g.n, g.n)
                 assert np.linalg.norm(L @ ones) <= 1e-10
-                assert np.abs(L.sum(axis=1)).max() <= 1e-10
+                dense = _dense_laplacian(side)
+                assert np.linalg.norm(dense @ ones) <= 1e-10
+                assert np.abs(dense.sum(axis=1)).max() <= 1e-10
 
     def test_combined_is_padded_node_laplacian(self):
         """node_laplacian is exactly D_T - T, and update_x treats it as
@@ -131,9 +164,11 @@ class TestBuildSideInfo:
         side = build_side_info(g, lambdas=(0.7, 1.3))
         L = side.node_laplacian
         T = 0.7 * side.q_norm + 1.3 * side.s_norm
-        assert np.array_equal(L, np.diag(T.sum(axis=1)) - T)
+        dense = _dense_laplacian(side)
+        assert np.array_equal(dense, np.diag(T.sum(axis=1)) - T)
+        assert _matches_reference(L, side, np.eye(g.n))
         padded = np.zeros((side.size, side.size))
-        padded[:g.n, :g.n] = L
+        padded[:g.n, :g.n] = dense
         Z = rng.normal(size=(side.size, side.size))
         Y = rng.normal(size=(side.size, 3))
         assert (np.abs(update_x(Z, Y, L) - update_x(Z, Y, padded)).max()
@@ -141,8 +176,8 @@ class TestBuildSideInfo:
 
     def test_node_laplacian_linear_in_lambdas(self):
         """L(a, b) = a L(1, 0) + b L(0, 1), each with the ones vector in
-        its kernel, and L(a, b) is exactly D_T - T for the weighted sum T
-        of the two sources."""
+        its kernel, and the dense reference L(a, b) is exactly D_T - T for
+        the weighted sum T of the two sources."""
         rng = np.random.default_rng(2)
         for _ in range(10):
             A, R0 = oracles.random_connected_graph(rng)
@@ -152,14 +187,15 @@ class TestBuildSideInfo:
             L = side.node_laplacian
             L_q = SideInfo(g, (1.0, 0.0)).node_laplacian
             L_s = SideInfo(g, (0.0, 1.0)).node_laplacian
-            expect = a * L_q + b * L_s
-            assert (np.linalg.norm(L - expect)
-                    <= 1e-12 * np.linalg.norm(expect))
+            X = rng.normal(size=(g.n, 3))
+            assert _close(L @ X, a * (L_q @ X) + b * (L_s @ X))
             ones = np.ones(g.n)
             for M in (L, L_q, L_s):
                 assert np.linalg.norm(M @ ones) <= 1e-10
             T = a * side.q_norm + b * side.s_norm
-            assert np.array_equal(L, np.diag(T.sum(axis=1)) - T)
+            dense = _dense_laplacian(side)
+            assert np.array_equal(dense, np.diag(T.sum(axis=1)) - T)
+            assert _matches_reference(L, side, X)
 
     def test_similarity_sources_symmetric_and_unstored(self):
         g = _triangle()
@@ -187,6 +223,117 @@ class TestBuildSideInfo:
             modularity_matrix(g)
         with pytest.raises(ValueError, match=re.escape(str(raised.value))):
             build_side_info(g)
+
+
+def _variants(rng):
+    """Graphs on a `random_connected_graph` instance, by name.  Weighted
+    edges and self-loops are outside what `validate` accepts, so they are
+    built without it."""
+    A, R0 = oracles.random_connected_graph(rng)
+    n = A.shape[0]
+    weighted = np.triu(A * rng.uniform(0.5, 3.0, size=(n, n)))
+    # heavy weights and a self-loop on every node: each stored entry can
+    # fall below the non-edges', so the largest entry is a non-edge's
+    heavy = 50.0 * (weighted + weighted.T + np.eye(n))
+    # degrees of either sign, and no unstored diagonal entry to stand in
+    # for the non-edge of extreme degree product
+    signed = (weighted + np.eye(n)) * rng.choice([-1.0, 1.0], size=(n, n))
+    loops = A.copy()
+    loops[np.diag_indices(n)] = rng.random(n) < 0.5
+    loops[0, 0] = 1.0
+    isolated = np.zeros((n + 2, n + 2))  # two nodes without edges
+    isolated[:n, :n] = A
+    shared = R0.copy()
+    shared[:, 0] = 1.0  # every pair shares attribute 0
+    bare = R0.copy()
+    bare[0] = 0.0
+    cases = {
+        "plain": (A, R0),
+        "weighted": (weighted + weighted.T, R0),
+        "heavy weights and self-loops": (heavy, R0),
+        "signed weights and self-loops": (signed + signed.T, R0),
+        "self-loops": (loops, R0),
+        "isolated nodes": (isolated, np.vstack([R0, R0[:2]])),
+        "complete": (np.ones((n, n)) - np.eye(n), R0),
+        "complete with self-loops": (np.ones((n, n)), R0),
+        "full overlap": (A, shared),
+        "nodes without attributes": (A, bare),
+        "no attributes": (A, np.zeros((n, 0))),
+    }
+    graphs = {name: AttributedGraph(
+        adjacency=sparse.csr_array(adj), attr_weights=sparse.csr_array(R),
+        node_ids=[str(i) for i in range(adj.shape[0])],
+        attr_ids=[str(w) for w in range(R.shape[1])])
+        for name, (adj, R) in cases.items()}
+    # every edge stored twice, as 0.25 and 0.75: a CSR array that is not
+    # in canonical form, which `validate` accepts
+    edges = sparse.csr_array(A)
+    rows = [slice(a, b) for a, b in zip(edges.indptr[:-1], edges.indptr[1:])]
+    cols = np.concatenate([np.tile(edges.indices[r], 2) for r in rows])
+    values = np.concatenate([np.r_[0.25 * edges.data[r],
+                                   0.75 * edges.data[r]] for r in rows])
+    twice = sparse.csr_array((values, cols, 2 * edges.indptr), shape=(n, n))
+    graphs["duplicate entries"] = dataclasses.replace(graphs["plain"],
+                                                      adjacency=twice)
+    return graphs
+
+
+class TestNodeLaplacian:
+    """The structured operator against the dense reference D_T - T."""
+
+    @pytest.mark.parametrize("block", [sideinfo._GRAM_BLOCK, 3])
+    def test_source_ranges(self, block, monkeypatch):
+        """Modularity's extremes are the dense mnorm's bit for bit; the
+        cosine's agree to rounding, and are 0 exactly when it is."""
+        monkeypatch.setattr(sideinfo, "_GRAM_BLOCK", block)
+        rng = np.random.default_rng(20)
+        seen = set()
+        for _ in range(20):
+            for name, g in _variants(rng).items():
+                got = sideinfo._modularity_range(
+                    *sideinfo._modularity_parts(g))
+                Q = modularity_matrix(g)
+                assert got == (Q.min(), Q.max()), name
+                lo, hi = sideinfo._cosine_range(
+                    sideinfo._unit_rows(g.attr_weights))
+                S = attribute_cosine(g)
+                assert abs(lo - S.min()) <= 4e-16
+                assert abs(hi - S.max()) <= 4e-16
+                assert (lo == 0.0) == (S.min() == 0.0)
+                seen.add((name, lo == 0.0))
+        assert ("full overlap", False) in seen
+        assert ("nodes without attributes", True) in seen
+
+    def test_operator_matches_dense_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            for name, g in _variants(rng).items():
+                for lambdas in ((1.0, 0.0), (0.0, 1.0),
+                                tuple(rng.uniform(0, 3, size=2))):
+                    side = SideInfo(g, lambdas)
+                    L = side.node_laplacian
+                    assert L.shape == (g.n, g.n)
+                    X = rng.normal(size=(g.n, 4))
+                    assert _matches_reference(L, side, X), name
+                    assert _matches_reference(L, side, X[:, 0]), name
+                    assert not (L @ np.ones(g.n)).any(), name
+
+    def test_update_x_matches_lu(self):
+        """`update_x` with the operator matches the literal formula with
+        the dense reference, solved by LU."""
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            for name, g in _variants(rng).items():
+                side = SideInfo(g, tuple(rng.uniform(0, 3, size=2)))
+                Z = rng.normal(size=(side.size, side.size))
+                Y = rng.normal(size=(side.size, 3))
+                left = Z @ Y
+                left[:g.n] = np.linalg.solve(
+                    np.eye(g.n) + _dense_laplacian(side), left[:g.n])
+                expect = np.linalg.solve(Y.T @ Y + np.eye(3), left.T).T
+                got = update_x(Z, Y, side.node_laplacian)
+                assert (np.abs(got - expect).max()
+                        <= 1e-10 * np.abs(expect).max()), name
 
 
 class TestRegularizationValue:
@@ -291,6 +438,40 @@ class TestUpdates:
         for p in (4, 6):
             with pytest.raises(np.linalg.LinAlgError):
                 update_x(Z, Y, -np.eye(p))
+
+    def test_update_x_indefinite_system_raises(self):
+        """I + L = [[1, 2], [2, 1]] has a positive diagonal but is
+        indefinite: conjugate gradients meet p^T (I + L) p < 0."""
+        L = np.array([[0.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            update_x(np.eye(2), np.array([[1.0], [0.0]]), L)
+
+    def test_update_x_iteration_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        T = rng.random((8, 8))
+        T = (T + T.T) / 2
+        L = np.diag(T.sum(axis=1)) - T
+        Z, Y = rng.normal(size=(8, 8)), rng.normal(size=(8, 2))
+        monkeypatch.setattr(sideinfo, "REFINE_MAX_ITERATIONS", 1)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="refinement solve failed to converge"):
+            update_x(Z, Y, L)
+
+    def test_solve_columns_converge_separately(self):
+        """A zero column, the ones vector (which I + L fixes) and generic
+        columns leave the working set at different iterations; each is
+        the LU solution."""
+        rng = np.random.default_rng(15)
+        T = rng.random((30, 30))
+        T = (T + T.T) / 2
+        L = np.diag(T.sum(axis=1)) - T
+        B = rng.normal(size=(30, 5))
+        B[:, 1] = 0.0
+        B[:, 3] = np.ones(30)  # L's kernel: (I + L)^-1 1 = 1
+        got = sideinfo._solve_shifted(L, B)
+        expect = np.linalg.solve(np.eye(30) + L, B)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert not got[:, 1].any()
 
     def test_exact_least_squares_variant(self):
         rng = np.random.default_rng(10)
@@ -455,7 +636,7 @@ class TestSideEnhance:
             p = L.shape[0]
             assert p < Z.shape[0]
             expect = (np.linalg.norm(Z - X @ Y.T) ** 2
-                      + np.trace(X[:p].T @ L @ X[:p]))
+                      + np.trace(X[:p].T @ (L @ X[:p])))
             got = objective_value(Z, X, Y, L)
             assert abs(got - expect) <= 1e-12 * abs(expect)
         with pytest.raises(ValueError, match="L must"):

@@ -18,18 +18,12 @@ from .io import AttributedGraph
 DENSE_SIZE_CAP = 20_000
 
 
-def mnorm(matrix) -> np.ndarray:
-    """Rescale all entries jointly onto [0, 1] by the global min and max.
+def _mnorm_in_place(matrix: np.ndarray, lo=None) -> np.ndarray:
+    """mnorm: rescale all entries jointly onto [0, 1] by the global min
+    and max, overwriting and returning the float array given.
 
     A constant matrix (max == min) maps to all zeros: a constant block
     carries no relational signal.
-    """
-    return _mnorm_in_place(np.array(matrix, dtype=float))
-
-
-def _mnorm_in_place(matrix: np.ndarray, lo=None) -> np.ndarray:
-    """`mnorm` that overwrites and returns its own float array.
-
     `lo`, when given, is the minimum to use instead of the array's own:
     0 when the array holds a nonnegative matrix's values on a pattern
     that leaves some entry, a zero, out.
@@ -105,14 +99,15 @@ def combine_relations(R0, R1, R2, deltas) -> sparse.csr_array:
     and the combination is mnorm-ed again.  The weighted parts are summed
     in place, one at a time.
 
-    R0 holds nonnegative weights; R1 and R2, dense or sparse, must be
-    nonnegative and vanish off R0's support, as `motif_relations`' counts
-    do.  All three and their blend are then zero off that support, and
-    the work is done on their values there: while the support leaves an
-    entry out, every minimum mnorm takes is 0 and it is x / max; when it
-    covers every entry, the minimum is the least value on it.  The result
-    is a CSR array without stored zeros, bit-identical to the blend of
-    the dense matrices.
+    R0 holds nonnegative weights; R1 and R2 must be nonnegative sparse
+    arrays stored on exactly R0's support (its positive entries), as
+    `motif_relations`' counts are; relations on another pattern, dense
+    ones included, raise ValueError.  All three and their blend are then
+    zero off that support, and the work is done on their values there:
+    while the support leaves an entry out, every minimum mnorm takes is 0
+    and it is x / max; when it covers every entry, the minimum is the
+    least value on it.  The result is a CSR array without stored zeros,
+    bit-identical to the blend of the dense matrices.
     """
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) != 3 or not all(np.isfinite(d) and d >= 0 for d in deltas):
@@ -149,24 +144,18 @@ def _on_support(R0: sparse.csr_array, values: np.ndarray) -> sparse.csr_array:
 
 
 def _values_on(R, R0: sparse.csr_array) -> np.ndarray:
-    """A fresh array of R's entries on R0's pattern.  R must be
-    nonnegative and zero off that pattern; a sparse R on another pattern
-    is read densely."""
+    """A fresh array of R's entries, R a nonnegative sparse array stored
+    in canonical form on exactly R0's pattern."""
     if np.shape(R) != R0.shape:
         raise ValueError(
             f"relation shapes differ: {np.shape(R)} != {R0.shape}")
     if sparse.issparse(R):
         R = sparse.csr_array(R, dtype=float)
-    if (sparse.issparse(R) and R.has_canonical_format
+    if not (sparse.issparse(R) and R.has_canonical_format
             and np.array_equal(R.indptr, R0.indptr)
             and np.array_equal(R.indices, R0.indices)):
-        values = R.data.copy()
-    else:
-        dense = R.toarray() if sparse.issparse(R) else np.asarray(R, float)
-        rows = np.repeat(np.arange(R0.shape[0]), np.diff(R0.indptr))
-        values = dense[rows, R0.indices]
-        if np.count_nonzero(values) != np.count_nonzero(dense):
-            raise ValueError("relations must vanish off R0's support")
+        raise ValueError("relations must be sparse arrays on R0's support")
+    values = R.data.copy()
     if np.any(values < 0):
         raise ValueError("relations must be nonnegative")
     return values
@@ -176,9 +165,9 @@ def _values_on(R, R0: sparse.csr_array) -> np.ndarray:
 class HeteroAdjacency:
     """Symmetric weighted adjacency B over n node and m attribute entities.
 
-    B is stored once, as a CSR array; its three blocks are sparse slices
-    of it (copies): the topology B[:n, :n], the node-attribute relations
-    B[:n, n:] and the attribute-attribute similarity B[n:, n:].
+    B is stored once, as a CSR array, in blocks: the topology B[:n, :n],
+    the node-attribute relations B[:n, n:] and their transpose B[n:, :n],
+    and the attribute-attribute similarity B[n:, n:].
     """
 
     matrix: sparse.csr_array
@@ -187,18 +176,6 @@ class HeteroAdjacency:
     @property
     def m(self) -> int:
         return self.matrix.shape[0] - self.n
-
-    @property
-    def adjacency_block(self) -> sparse.csr_array:
-        return self.matrix[:self.n, :self.n]
-
-    @property
-    def relation_block(self) -> sparse.csr_array:
-        return self.matrix[:self.n, self.n:]
-
-    @property
-    def similarity_block(self) -> sparse.csr_array:
-        return self.matrix[self.n:, self.n:]
 
 
 def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),

@@ -16,6 +16,9 @@ class AttributedGraph:
     adjacency is a symmetric 0/1 sparse matrix with zero diagonal;
     attr_weights holds one nonnegative row per node (one column per attribute).
     Labels, when present, are dense class indices in [0, c).
+    Both matrices are held as CSR arrays in canonical form (sorted indices,
+    duplicate entries summed), made so on construction: an input already
+    in that form is kept as it is, any other is converted on a copy.
     """
 
     adjacency: sparse.csr_array
@@ -24,6 +27,10 @@ class AttributedGraph:
     attr_ids: list[str]
     labels: np.ndarray | None = None
     c: int | None = None
+
+    def __post_init__(self):
+        self.adjacency = _canonical(self.adjacency)
+        self.attr_weights = _canonical(self.attr_weights)
 
     @property
     def n(self) -> int:
@@ -72,14 +79,13 @@ class AttributedGraph:
         if len(self.node_ids) != n or len(self.attr_ids) != m:
             raise ValueError("id lists inconsistent with matrix shapes")
         # Checked on the stored entries only: no n x n array is built.
-        adj = _canonical(adj)
         if (adj != adj.T).nnz:
             raise ValueError("adjacency must be symmetric")
         if np.any(adj.diagonal() != 0):
             raise ValueError("adjacency must have a zero diagonal")
         if not np.isin(adj.data, (0.0, 1.0)).all():
             raise ValueError("adjacency entries must be 0 or 1")
-        weights = _canonical(self.attr_weights)
+        weights = self.attr_weights
         if not np.all(np.isfinite(weights.data)):
             raise ValueError("attribute weights must be finite")
         if np.any(weights.data < 0):
@@ -100,7 +106,11 @@ class AttributedGraph:
 
 
 def _canonical(matrix) -> sparse.csr_array:
-    """CSR copy with duplicate entries summed, as `toarray` would."""
+    """`matrix` as a CSR array with sorted indices and duplicate entries
+    summed, as `toarray` would sum them: the matrix itself when it already
+    is one, else a copy, so the caller's arrays are never changed."""
+    if isinstance(matrix, sparse.csr_array) and matrix.has_canonical_format:
+        return matrix
     out = sparse.csr_array(matrix, copy=True)
     out.sum_duplicates()
     return out

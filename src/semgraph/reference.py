@@ -4,11 +4,13 @@ against.
 
 Everything here trades speed for obviousness: walk proximity is assembled
 power by power from the definition, motif counts come from explicit
-instance enumeration, the best matching of a table comes from trying every
-permutation, and random instances are drawn edge by edge.  The
-production code paths must agree with these on random inputs, so this
-module imports nothing from the rest of semgraph: a shared helper would
-let one bug pass both sides of the comparison.
+instance enumeration, the refinement's similarity sources and their
+Laplacian are dense n-by-n arrays, the best matching of a table comes
+from trying every permutation, and random instances are drawn edge by
+edge.  The production code paths must agree with these on random inputs,
+so this module imports nothing from the rest of semgraph: a shared helper
+would let one bug pass both sides of the comparison.  Only `selftest`
+imports it; no pipeline module does.
 """
 
 from __future__ import annotations
@@ -57,6 +59,45 @@ def motif_enumeration(R0):
             R2[i, w] += 1
             R2[i, s] += 1
     return R1, R2
+
+
+def mnorm(M):
+    """Entries rescaled jointly onto [0, 1] by the global min and max; a
+    constant or empty matrix maps to zeros."""
+    M = np.asarray(M, dtype=float)
+    if not M.size or M.max() == M.min():
+        return np.zeros(M.shape)
+    return (M - M.min()) / (M.max() - M.min())
+
+
+def modularity_matrix(A):
+    """Q = A - d d^T / 2e, with d the row sums of A and 2e their total."""
+    A = np.asarray(A, dtype=float)
+    d = A.sum(axis=1)
+    return A - np.outer(d, d) / d.sum()
+
+
+def attribute_cosine(W):
+    """Cosine between the rows of W; a zero row has cosine 0 with every
+    row, itself included."""
+    W = np.asarray(W, dtype=float)
+    norms = np.linalg.norm(W, axis=1)
+    unit = W / np.where(norms > 0, norms, 1.0)[:, None]
+    return unit @ unit.T
+
+
+def laplacian(T):
+    """D_T - T, with D_T the diagonal of T's row sums."""
+    return np.diag(T.sum(axis=1)) - T
+
+
+def regularization_value(X, T):
+    """tr(X^T (D_T - T) X) for a symmetric T: half the sum of
+    T[i, j] ||x_i - x_j||^2 over ordered pairs."""
+    T = np.asarray(T, dtype=float)
+    if not np.array_equal(T, T.T):
+        raise ValueError("similarity matrix must be symmetric")
+    return float(np.sum(X * (laplacian(T) @ X)))
 
 
 def max_matching_bruteforce(table):

@@ -8,7 +8,7 @@ and the metric suite its optimal matchings, from the same `reference`
 oracles the test suite uses, so a deployed binary can be sanity-checked
 without a test harness present.  The refinement suite checks the
 structured node Laplacian and its conjugate-gradient solve against the
-dense Laplacian and an LU solve.
+dense Laplacian of `reference`'s sources and an LU solve.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .embedding import LANCZOS_MIN_RATIO, WalkMatrix, factorize, walk_matrix
 from .evaluation import classify, clustering_accuracy, nmi, train_classifier
 from .hetero import build_hetero_adjacency, motif_relations
 from .io import AttributedGraph
-from .sideinfo import (SideInfo, _laplacian, _modularity_parts,
-                       _modularity_range, modularity_matrix, update_x)
+from .sideinfo import (SideInfo, _modularity_parts, _modularity_range,
+                       update_x)
 
 
 def _check_walk(rng, rounds):
@@ -89,20 +89,23 @@ def _tail_gap(target, k):
 
 
 def _check_refinement(rng, rounds):
-    """The node Laplacian operator against the dense D_T - T, relative to
-    ||T|| ||X||, and `update_x` with it against the literal update with an
-    LU solve; modularity's extremes must be the dense ones exactly."""
+    """The node Laplacian operator against the dense D_T - T of the
+    reference sources, relative to ||T|| ||X||, and `update_x` with it
+    against the literal update with an LU solve; modularity's extremes
+    must be the dense ones exactly."""
     worst = 0.0
     for _ in range(rounds):
-        g = AttributedGraph.from_dense(
-            *reference.random_connected_graph(rng, max_n=30, max_m=8))
-        side = SideInfo(g, tuple(rng.uniform(0.0, 3.0, size=2)))
-        Q = modularity_matrix(g)
+        A, W = reference.random_connected_graph(rng, max_n=30, max_m=8)
+        g = AttributedGraph.from_dense(A, W)
+        lam1, lam2 = rng.uniform(0.0, 3.0, size=2)
+        side = SideInfo(g, (lam1, lam2))
+        Q = reference.modularity_matrix(A)
         if _modularity_range(*_modularity_parts(g)) != (Q.min(), Q.max()):
             return 1.0, 1e-10
-        T = side.lambdas[0] * side.q_norm + side.lambdas[1] * side.s_norm
+        T = (lam1 * reference.mnorm(Q)
+             + lam2 * reference.mnorm(reference.attribute_cosine(W)))
         scale = max(float(np.linalg.norm(T)), 1e-300)
-        dense = _laplacian(T)
+        dense = reference.laplacian(T)
         L = side.node_laplacian
         X = rng.normal(size=(g.n, 3))
         worst = max(worst, float(np.linalg.norm(L @ X - dense @ X))

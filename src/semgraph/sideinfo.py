@@ -18,7 +18,6 @@ import numpy as np
 from scipy import sparse
 
 from .embedding import EmbeddingModel, WalkMatrix
-from .hetero import _mnorm_in_place
 from .io import AttributedGraph
 
 log = logging.getLogger(__name__)
@@ -44,13 +43,12 @@ _GRAM_BLOCK = 256
 class SideInfo:
     """The graph whose two similarity sources regularize, and their weights.
 
-    Nothing n-by-n is stored.  q_norm and s_norm, the mnorm-ed modularity
-    matrix and attribute cosine, are built densely on each access as the
-    reference the tests read; no pipeline path reads them.
-    `node_laplacian` is lambda1*L(q_norm) + lambda2*L(s_norm) as a
-    `NodeLaplacian` operator, made from the graph without any n-by-n
-    array; it is the `L` of `update_x` and `objective_value`, which read
-    it as zero on the `size` - n attribute rows.
+    Nothing n-by-n is stored.  `node_laplacian` is the weighted sum of
+    the two sources' Laplacians as a `NodeLaplacian` operator, made from
+    the graph on each access; it is the `L` of `update_x` and
+    `objective_value`, which read it as zero on the `size` - n attribute
+    rows.  `semgraph.reference` holds the dense sources it is checked
+    against.
     """
 
     graph: AttributedGraph
@@ -59,14 +57,6 @@ class SideInfo:
     @property
     def size(self) -> int:
         return self.graph.n + self.graph.m
-
-    @property
-    def q_norm(self) -> np.ndarray:
-        return _mnorm_in_place(modularity_matrix(self.graph))
-
-    @property
-    def s_norm(self) -> np.ndarray:
-        return _mnorm_in_place(attribute_cosine(self.graph))
 
     @property
     def node_laplacian(self) -> NodeLaplacian:
@@ -94,7 +84,7 @@ class NodeLaplacian:
         n = g.n
         self.shape = (n, n)
         adjacency, self._d, self._two_e = _modularity_parts(g)
-        self._adjacency = sparse.csr_array(adjacency)
+        self._adjacency = g.adjacency
         self._unit = _unit_rows(g.attr_weights)
         self._unit_t = self._unit.T.tocsr()
         self._q = self._scale(lam1, _modularity_range(adjacency, self._d,
@@ -156,14 +146,12 @@ class NodeLaplacian:
 
 
 def _modularity_parts(g: AttributedGraph):
-    """The adjacency as COO, its degrees and 2e: what the modularity
-    matrix is made of.  g.e is read first: counting the edges of a CSR
-    array with duplicate entries sums them in place, which would change
-    the arrays a COO view taken before it shares."""
+    """The adjacency as COO, its degrees d and their total 2e: what the
+    modularity matrix A - d d^T / 2e is made of."""
     _require_edges(g)
-    two_e = 2.0 * g.e
     adjacency = g.adjacency.tocoo()
-    return adjacency, _row_sums(adjacency), two_e
+    d = _row_sums(adjacency)
+    return adjacency, d, d.sum()
 
 
 def _row_sums(M) -> np.ndarray:
@@ -174,7 +162,6 @@ def _unit_rows(weights) -> sparse.csr_array:
     """The attribute rows scaled to unit norm; a row without a positive
     weight stays zero and stores nothing."""
     unit = sparse.csr_array(weights, dtype=float, copy=True)
-    unit.sum_duplicates()
     unit.eliminate_zeros()
     norms = np.sqrt(_row_sums(unit.multiply(unit)))
     norms[norms == 0] = 1.0
@@ -183,11 +170,12 @@ def _unit_rows(weights) -> sparse.csr_array:
 
 
 def _modularity_range(adjacency, d, two_e):
-    """(min, max) of the dense `modularity_matrix`, bit for bit, without
-    forming it.
+    """(min, max) of the dense modularity matrix A - d d^T / 2e, bit for
+    bit, without forming it.
 
-    A stored entry (an edge or a self-loop) is -fl(fl(d_i d_j) / 2e) with
-    the adjacency's values added in its COO order, the dense matrix's own
+    The adjacency is the COO form of a canonical CSR array: one entry per
+    stored pair, in row-major order.  A stored entry (an edge or a
+    self-loop) is fl(a_ij - fl(fl(d_i d_j) / 2e)), the dense matrix's own
     operations.  Every unstored entry, the diagonal included, is
     -fl(fl(d_i d_j) / 2e), monotone in the product, so its extremes are
     at the smallest and the largest degree product over unstored pairs.
@@ -197,13 +185,11 @@ def _modularity_range(adjacency, d, two_e):
     row's largest product depends on the sign of d_i.
     """
     n = adjacency.shape[0]
-    row, col = adjacency.row.astype(np.int64), adjacency.col.astype(np.int64)
-    keys, first = np.unique(row * n + col, return_inverse=True)
-    rows, cols = np.divmod(keys, n)
+    rows = adjacency.row.astype(np.int64)
+    cols = adjacency.col.astype(np.int64)
     stored = d[rows] * d[cols]
     stored /= two_e
-    np.negative(stored, out=stored)
-    np.add.at(stored, np.ravel(first), adjacency.data)
+    np.subtract(adjacency.data, stored, out=stored)
     lo, hi = stored.min(), stored.max()
 
     order = np.argsort(d, kind="stable")
@@ -221,9 +207,10 @@ def _modularity_range(adjacency, d, two_e):
         d_i = d[free]
         small = d[order[lowest[free]]]
         large = d[order[n - 1 - top[free]]]
-        products = np.concatenate([d_i * small, d_i * large])
-        lo = min(lo, -(products.max() / two_e))
-        hi = max(hi, -(products.min() / two_e))
+        unstored = np.concatenate([d_i * small, d_i * large])
+        unstored /= two_e  # of either sign, for weights of either sign
+        np.negative(unstored, out=unstored)
+        lo, hi = min(lo, unstored.min()), max(hi, unstored.max())
     return lo, hi
 
 
@@ -248,41 +235,6 @@ def _cosine_range(unit: sparse.csr_array):
     return lo, hi
 
 
-def modularity_matrix(g: AttributedGraph) -> np.ndarray:
-    """Q = A - d d^T / (2e) over nodes; every row sums to zero to rounding.
-
-    Q is the one n-by-n array made: -d d^T / (2e) is filled in place and
-    the adjacency's stored entries are added to it.
-    """
-    adjacency, d, two_e = _modularity_parts(g)
-    Q = np.outer(d, d)
-    Q /= two_e
-    np.negative(Q, out=Q)
-    np.add.at(Q, (adjacency.row, adjacency.col), adjacency.data)
-    return Q
-
-
-def attribute_cosine(g: AttributedGraph) -> np.ndarray:
-    """Cosine similarity between node rows of the attribute matrix.
-
-    A node with no attributes has zero similarity to everything, itself
-    included, rather than propagating division by zero.  numpy forms
-    `unit @ unit.T` by a symmetric rank-k update: it is exactly symmetric.
-    """
-    unit = g.attr_weights.toarray().astype(float, copy=False)
-    norms = np.linalg.norm(unit, axis=1)
-    unit /= np.where(norms > 0, norms, 1.0)[:, None]
-    return unit @ unit.T
-
-
-def _laplacian(T: np.ndarray) -> np.ndarray:
-    """D_T - T, written over T, which must be an array the caller owns."""
-    degrees = T.sum(axis=1)
-    np.negative(T, out=T)
-    T[np.diag_indices_from(T)] += degrees
-    return T
-
-
 def _require_edges(g: AttributedGraph) -> None:
     if g.e == 0:
         raise ValueError("modularity is undefined for an edgeless graph")
@@ -299,11 +251,6 @@ def build_side_info(g: AttributedGraph, lambdas=(1.0, 1.0)) -> SideInfo:
     return SideInfo(graph=g, lambdas=lam)
 
 
-def _penalty(X: np.ndarray, L) -> float:
-    """tr(X^T L X), summed entrywise as sum(X * (L X))."""
-    return float(np.sum(X * (L @ X)))
-
-
 def _covered_rows(L, size: int) -> int:
     """Rows p of a square L that may cover only the leading p <= size."""
     p = L.shape[0]
@@ -311,18 +258,6 @@ def _covered_rows(L, size: int) -> int:
         raise ValueError(f"L must be square and cover at most {size} rows, "
                          f"got shape {L.shape}")
     return p
-
-
-def regularization_value(X: np.ndarray, T: np.ndarray) -> float:
-    """Half-sum of T[i,j] * ||x_i - x_j||^2 over ordered pairs.
-
-    Evaluated as the trace form tr(X^T (D_T - T) X) that `objective_value`
-    adds; the tests cross-check it against a literal pairwise sum.
-    """
-    T = np.array(T, dtype=float)
-    if not np.array_equal(T, T.T):
-        raise ValueError("similarity matrix must be symmetric")
-    return _penalty(X, _laplacian(T))
 
 
 def objective_value(Z, X: np.ndarray, Y: np.ndarray, L=None) -> float:
@@ -345,7 +280,8 @@ def objective_value(Z, X: np.ndarray, Y: np.ndarray, L=None) -> float:
         value += float(np.vdot(residual, residual))
         del residual  # freed before the next block's product is made
     if L is not None:
-        value += _penalty(X[:_covered_rows(L, Z.shape[0])], L)
+        X_p = X[:_covered_rows(L, Z.shape[0])]
+        value += float(np.sum(X_p * (L @ X_p)))  # tr(X_p^T L X_p)
     return value
 
 

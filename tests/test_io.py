@@ -1,11 +1,14 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from semgraph import (AttributedGraph, EmbeddingModel, load_graph,
-                      modularity_matrix, read_embeddings, write_embeddings)
+import oracles
+from semgraph import (AttributedGraph, EmbeddingModel, build_side_info,
+                      load_graph, read_embeddings, write_embeddings)
+from semgraph import sideinfo
 
 
 def _write(path, text):
@@ -190,7 +193,69 @@ class TestValidate:
                             node_ids=["a", "b", "c"], attr_ids=["x", "y", "z"])
         g.validate()
         assert g.e == 1
-        assert not modularity_matrix(g).sum(axis=1).any()
+        # the refinement's modularity Laplacian reads them as absent too
+        L = build_side_info(g, lambdas=(1.0, 0.0)).node_laplacian
+        dense = oracles.laplacian(oracles.mnorm(
+            oracles.modularity_matrix(adjacency.toarray())))
+        assert np.abs(L @ np.eye(3) - dense).max() <= 1e-15
+
+
+class TestCanonicalForm:
+    """Both matrices are made canonical once, when the graph is built."""
+
+    def _graph(self, adjacency, weights):
+        n = adjacency.shape[0]
+        return AttributedGraph(
+            adjacency=adjacency, attr_weights=weights,
+            node_ids=[str(i) for i in range(n)],
+            attr_ids=[str(w) for w in range(weights.shape[1])])
+
+    def test_every_constructor_canonicalizes(self, tmp_path):
+        A, R0 = oracles.random_connected_graph(np.random.default_rng(30))
+        twice, weights = oracles.stored_twice(A), oracles.stored_twice(R0)
+        arrays = [M.copy() for M in (twice, weights)]
+        direct = self._graph(twice, weights)
+        # the caller's arrays are converted on a copy, left as they were
+        for M, before in zip((twice, weights), arrays):
+            assert not M.has_canonical_format
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(M, field),
+                                      getattr(before, field))
+        plain = AttributedGraph.from_dense(A, R0)
+        loaded = load_graph(
+            _write(tmp_path / "e.tsv", "0\t1\n1\t0\n0\t1\n"),
+            _write(tmp_path / "a.tsv", "1\tx\t0.5\n0\tx\n1\tx\t0.5\n"))
+        replaced = dataclasses.replace(plain, adjacency=twice)
+        for g in (direct, plain, loaded, replaced):
+            for M in (g.adjacency, g.attr_weights):
+                assert isinstance(M, sparse.csr_array)
+                assert M.has_canonical_format
+        assert np.array_equal(direct.adjacency.toarray(), A)
+        assert np.array_equal(direct.attr_weights.toarray(), R0)
+        assert loaded.attr_weights.toarray().tolist() == [[1.0], [1.0]]
+        # canonical input is kept as it is, without a copy
+        again = self._graph(plain.adjacency, plain.attr_weights)
+        assert again.adjacency is plain.adjacency
+        assert again.attr_weights is plain.attr_weights
+
+    def test_reading_e_leaves_the_graph_unchanged(self):
+        """Counting the edges of a CSR array with duplicate entries sums
+        them in place; a graph built from one holds it summed already,
+        so a view taken before reading g.e is unchanged after it."""
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            A, R0 = oracles.random_connected_graph(rng)
+            g = self._graph(oracles.stored_twice(A), sparse.csr_array(R0))
+            g.validate()
+            view = g.adjacency.tocoo()
+            before = [view.row.copy(), view.col.copy(), view.data.copy()]
+            assert g.e == np.count_nonzero(A) // 2
+            for got, expect in zip((view.row, view.col, view.data), before):
+                assert np.array_equal(got, expect)
+            lo, hi = sideinfo._modularity_range(
+                *sideinfo._modularity_parts(g))
+            Q = oracles.modularity_matrix(A)
+            assert (lo, hi) == (Q.min(), Q.max())
 
 
 class TestEmbeddingFiles:

@@ -8,21 +8,39 @@ from scipy import sparse
 
 import oracles
 from semgraph import sideinfo
-from semgraph import (AttributedGraph, SideInfo, WalkMatrix, attribute_cosine,
-                      build_side_info, embed, modularity_matrix,
-                      objective_value, regularization_value, side_enhance,
-                      update_x, update_y)
+from semgraph import (AttributedGraph, SideInfo, WalkMatrix, build_side_info,
+                      embed, objective_value, side_enhance, update_x,
+                      update_y)
 
 
 def _graph(A, R, **kwargs):
     return AttributedGraph.from_dense(A, R, **kwargs)
 
 
+def _sources(g):
+    """The reference's dense mnorm-ed modularity matrix and attribute
+    cosine of g."""
+    Q = oracles.modularity_matrix(g.adjacency.toarray())
+    S = oracles.attribute_cosine(g.attr_weights.toarray())
+    return oracles.mnorm(Q), oracles.mnorm(S)
+
+
+def _dense_similarity(side):
+    """The dense weighted sum T of the mnorm-ed sources."""
+    q, s = _sources(side.graph)
+    return side.lambdas[0] * q + side.lambdas[1] * s
+
+
 def _dense_laplacian(side):
-    """The reference node Laplacian: D_T - T of the dense weighted sum T
-    of the mnorm-ed sources."""
-    lam1, lam2 = side.lambdas
-    return sideinfo._laplacian(lam1 * side.q_norm + lam2 * side.s_norm)
+    """The reference node Laplacian: D_T - T."""
+    return oracles.laplacian(_dense_similarity(side))
+
+
+def _cosines(A, R):
+    """The reference attribute cosine and the pipeline's U U^T, the
+    product of the unit attribute rows its operator applies."""
+    U = sideinfo._unit_rows(_graph(A, R).attr_weights)
+    return oracles.attribute_cosine(R), (U @ U.T).toarray()
 
 
 def _close(got, expect, scale=None):
@@ -36,9 +54,8 @@ def _matches_reference(L, side, X):
     """L @ X and L's diagonal agree with the dense reference within
     1e-12 of ||T|| ||X||: where the reference L is exactly zero (T
     diagonal), the operator's D_T - T cancels to rounding."""
-    lam1, lam2 = side.lambdas
-    T = lam1 * side.q_norm + lam2 * side.s_norm
-    dense = _dense_laplacian(side)
+    T = _dense_similarity(side)
+    dense = oracles.laplacian(T)
     scale = np.linalg.norm(T)
     return (_close(L @ X, dense @ X, scale * np.linalg.norm(X))
             and _close(L.diagonal(), np.diag(dense), scale))
@@ -50,58 +67,72 @@ def _triangle(attrs=None):
     return _graph(A, R)
 
 
+def _modularity_range(g):
+    return sideinfo._modularity_range(*sideinfo._modularity_parts(g))
+
+
 class TestModularity:
+    """The reference modularity matrix on worked examples, and the
+    extremes the pipeline's operator takes of it."""
+
     def test_triangle(self):
-        Q = modularity_matrix(_triangle())
+        A = np.ones((3, 3)) - np.eye(3)
+        Q = oracles.modularity_matrix(A)
         assert np.allclose(Q - np.diag(np.diag(Q)),
                            (1 / 3) * (np.ones((3, 3)) - np.eye(3)))
         assert np.allclose(np.diag(Q), -2 / 3)
+        assert np.allclose(_modularity_range(_triangle()), (-2 / 3, 1 / 3))
 
     def test_single_edge(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        Q = modularity_matrix(_graph(A, np.ones((2, 1))))
+        Q = oracles.modularity_matrix(A)
         assert np.allclose(Q, [[-0.5, 0.5], [0.5, -0.5]])
+        assert _modularity_range(_graph(A, np.ones((2, 1)))) == (-0.5, 0.5)
 
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             A, R0 = oracles.random_connected_graph(rng)
-            g = _graph(A, R0)
-            Q = modularity_matrix(g)
+            Q = oracles.modularity_matrix(A)
             assert np.abs(Q.sum(axis=1)).max() <= 1e-10
-            assert np.allclose(Q, oracles.modularity_oracle(A), atol=1e-12)
+            assert _modularity_range(_graph(A, R0)) == (Q.min(), Q.max())
 
     def test_edgeless_rejected(self):
         A = np.zeros((2, 2))
         g = _graph(A, np.ones((2, 1)))
         with pytest.raises(ValueError, match="edge"):
-            modularity_matrix(g)
+            sideinfo.NodeLaplacian(g, (1.0, 1.0))
 
 
 class TestAttributeCosine:
+    """The reference cosine and the pipeline's product of unit rows on
+    worked examples."""
+
     def test_identical_rows(self):
         R = np.array([[1.0, 2.0], [1.0, 2.0]])
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        S = attribute_cosine(_graph(A, R))
-        assert abs(S[0, 1] - 1.0) < 1e-12
+        for S in _cosines(A, R):
+            assert abs(S[0, 1] - 1.0) < 1e-12
 
     def test_disjoint_supports(self):
         R = np.array([[1.0, 0.0], [0.0, 1.0]])
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert attribute_cosine(_graph(A, R))[0, 1] == 0.0
+        for S in _cosines(A, R):
+            assert S[0, 1] == 0.0
 
     def test_half_overlap(self):
         R = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert abs(attribute_cosine(_graph(A, R))[0, 1] - 0.5) < 1e-12
+        for S in _cosines(A, R):
+            assert abs(S[0, 1] - 0.5) < 1e-12
 
     def test_zero_rows_zero_everywhere(self):
         A = np.zeros((3, 3))
         A[0, 1] = A[1, 0] = 1.0
         A[1, 2] = A[2, 1] = 1.0
         R = np.array([[1.0], [0.0], [0.0]])
-        S = attribute_cosine(_graph(A, R))
-        assert S[1, 1] == 0.0 and S[1, 0] == 0.0 and S[2, 2] == 0.0
+        for S in _cosines(A, R):
+            assert S[1, 1] == 0.0 and S[1, 0] == 0.0 and S[2, 2] == 0.0
 
     @pytest.mark.parametrize("case", sorted(oracles.symmetry_cases()))
     def test_exactly_symmetric(self, case):
@@ -112,8 +143,8 @@ class TestAttributeCosine:
         if n > 1:  # a ring, so the node without attributes has edges
             ring = np.arange(n)
             A[ring, (ring + 1) % n] = A[(ring + 1) % n, ring] = 1.0
-        S = attribute_cosine(_graph(A, R))
-        assert np.array_equal(S, S.T)
+        for S in _cosines(A, R):
+            assert np.array_equal(S, S.T)
 
 
 class TestBuildSideInfo:
@@ -128,9 +159,6 @@ class TestBuildSideInfo:
         g = _triangle()
         side = build_side_info(g, lambdas=(1.0, 0.0))
         L = side.node_laplacian
-        q = side.q_norm
-        dense = _dense_laplacian(side)
-        assert np.array_equal(dense, np.diag(q.sum(axis=1)) - q)
         assert _matches_reference(L, side, np.eye(g.n))
         assert L.shape == (g.n, g.n) and side.size == g.n + g.m and g.m > 0
         rng = np.random.default_rng(3)
@@ -163,9 +191,7 @@ class TestBuildSideInfo:
         g = _graph(A, R0)
         side = build_side_info(g, lambdas=(0.7, 1.3))
         L = side.node_laplacian
-        T = 0.7 * side.q_norm + 1.3 * side.s_norm
         dense = _dense_laplacian(side)
-        assert np.array_equal(dense, np.diag(T.sum(axis=1)) - T)
         assert _matches_reference(L, side, np.eye(g.n))
         padded = np.zeros((side.size, side.size))
         padded[:g.n, :g.n] = dense
@@ -176,8 +202,7 @@ class TestBuildSideInfo:
 
     def test_node_laplacian_linear_in_lambdas(self):
         """L(a, b) = a L(1, 0) + b L(0, 1), each with the ones vector in
-        its kernel, and the dense reference L(a, b) is exactly D_T - T for
-        the weighted sum T of the two sources."""
+        its kernel, and L(a, b) matches the dense reference."""
         rng = np.random.default_rng(2)
         for _ in range(10):
             A, R0 = oracles.random_connected_graph(rng)
@@ -192,15 +217,12 @@ class TestBuildSideInfo:
             ones = np.ones(g.n)
             for M in (L, L_q, L_s):
                 assert np.linalg.norm(M @ ones) <= 1e-10
-            T = a * side.q_norm + b * side.s_norm
-            dense = _dense_laplacian(side)
-            assert np.array_equal(dense, np.diag(T.sum(axis=1)) - T)
             assert _matches_reference(L, side, X)
 
     def test_similarity_sources_symmetric_and_unstored(self):
         g = _triangle()
         side = build_side_info(g)
-        for T in (side.q_norm, side.s_norm):
+        for T in _sources(g):
             assert T.shape == (g.n, g.n)
             assert np.array_equal(T, T.T)
             assert T.min() >= 0.0 and T.max() <= 1.0
@@ -220,7 +242,7 @@ class TestBuildSideInfo:
     def test_edgeless_rejected(self):
         g = _graph(np.zeros((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError) as raised:
-            modularity_matrix(g)
+            sideinfo.NodeLaplacian(g, (1.0, 1.0))
         with pytest.raises(ValueError, match=re.escape(str(raised.value))):
             build_side_info(g)
 
@@ -265,16 +287,9 @@ def _variants(rng):
         node_ids=[str(i) for i in range(adj.shape[0])],
         attr_ids=[str(w) for w in range(R.shape[1])])
         for name, (adj, R) in cases.items()}
-    # every edge stored twice, as 0.25 and 0.75: a CSR array that is not
-    # in canonical form, which `validate` accepts
-    edges = sparse.csr_array(A)
-    rows = [slice(a, b) for a, b in zip(edges.indptr[:-1], edges.indptr[1:])]
-    cols = np.concatenate([np.tile(edges.indices[r], 2) for r in rows])
-    values = np.concatenate([np.r_[0.25 * edges.data[r],
-                                   0.75 * edges.data[r]] for r in rows])
-    twice = sparse.csr_array((values, cols, 2 * edges.indptr), shape=(n, n))
-    graphs["duplicate entries"] = dataclasses.replace(graphs["plain"],
-                                                      adjacency=twice)
+    # every edge stored twice, as 0.25 and 0.75, which the graph sums
+    graphs["duplicate entries"] = dataclasses.replace(
+        graphs["plain"], adjacency=oracles.stored_twice(A))
     return graphs
 
 
@@ -290,13 +305,20 @@ class TestNodeLaplacian:
         seen = set()
         for _ in range(20):
             for name, g in _variants(rng).items():
-                got = sideinfo._modularity_range(
-                    *sideinfo._modularity_parts(g))
-                Q = modularity_matrix(g)
+                # a weighted row's degree depends on the order it is
+                # summed in; given the reference's degrees, the range
+                # is bit-exact, and on 0/1 rows they are the pipeline's
+                A = g.adjacency.toarray()
+                d = A.sum(axis=1)
+                got = sideinfo._modularity_range(g.adjacency.tocoo(), d,
+                                                 d.sum())
+                Q = oracles.modularity_matrix(A)
                 assert got == (Q.min(), Q.max()), name
+                if np.isin(A, (0.0, 1.0)).all():
+                    assert _modularity_range(g) == got, name
                 lo, hi = sideinfo._cosine_range(
                     sideinfo._unit_rows(g.attr_weights))
-                S = attribute_cosine(g)
+                S = oracles.attribute_cosine(g.attr_weights.toarray())
                 assert abs(lo - S.min()) <= 4e-16
                 assert abs(hi - S.max()) <= 4e-16
                 assert (lo == 0.0) == (S.min() == 0.0)
@@ -337,15 +359,18 @@ class TestNodeLaplacian:
 
 
 class TestRegularizationValue:
+    """The reference penalty that `objective_value`'s term is checked
+    against."""
+
     def test_constant_rows_no_penalty(self):
         X = np.ones((4, 3))
         T = np.random.default_rng(2).random((4, 4))
         T = (T + T.T) / 2
-        assert abs(regularization_value(X, T)) <= 1e-12
+        assert abs(oracles.regularization_value(X, T)) <= 1e-12
 
     def test_zero_similarity_no_penalty(self):
         X = np.random.default_rng(3).normal(size=(4, 2))
-        assert regularization_value(X, np.zeros((4, 4))) == 0.0
+        assert oracles.regularization_value(X, np.zeros((4, 4))) == 0.0
 
     def test_trace_equals_pairwise_sum(self):
         rng = np.random.default_rng(4)
@@ -353,21 +378,21 @@ class TestRegularizationValue:
             X = rng.normal(size=(6, 3))
             T = rng.random((6, 6))
             T = (T + T.T) / 2
-            ours = regularization_value(X, T)
+            ours = oracles.regularization_value(X, T)
             ref = oracles.pairwise_penalty(X, T)
             assert abs(ours - ref) <= 1e-8 * max(1.0, abs(ref))
 
     def test_asymmetric_rejected(self):
         X = np.zeros((2, 1))
         with pytest.raises(ValueError, match="symmetric"):
-            regularization_value(X, np.array([[0.0, 1.0], [0.0, 0.0]]))
+            oracles.regularization_value(X, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_similarity_left_unchanged(self):
         rng = np.random.default_rng(5)
         T = rng.random((5, 5))
         T = (T + T.T) / 2
         before = T.copy()
-        regularization_value(rng.normal(size=(5, 2)), T)
+        oracles.regularization_value(rng.normal(size=(5, 2)), T)
         assert np.array_equal(T, before)
 
 
@@ -618,8 +643,8 @@ class TestSideEnhance:
         base = objective_value(Z, X, Y)
         full = objective_value(Z, X, Y, side.node_laplacian)
         manual = base
-        for lam, T in zip(side.lambdas, (side.q_norm, side.s_norm)):
-            manual += lam * regularization_value(X[:side.graph.n], T)
+        for lam, T in zip(side.lambdas, _sources(side.graph)):
+            manual += lam * oracles.regularization_value(X[:side.graph.n], T)
         assert abs(full - manual) <= 1e-10 * max(1.0, abs(manual))
 
         # both Ls cover the leading p < size rows and penalize X[:p] only;

@@ -54,7 +54,7 @@ def _pipeline_flags(parser):
                             help=f"weight of node-attribute relation "
                                  f"matrix {i} (default 1)")
     parser.add_argument("--size-cap", type=int, default=DENSE_SIZE_CAP,
-                        help="max n+m for dense construction "
+                        help="max entity count n+m of the combined graph "
                              f"(default {DENSE_SIZE_CAP})")
     parser.add_argument("--weighted-motifs", action="store_true",
                         help="scale motif counts by attribute weights")

@@ -133,7 +133,8 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     same operations whatever the block width, so the result does not
     depend on it.
 
-    `dim` is the rank `factorize` will be asked for.  When it is given
+    `dim` is the rank `factorize` will be asked for, at least 1; one
+    below is rejected before the walk is built.  When it is given
     and `factorize` will run Lanczos at that rank, the result is stored
     as CSR: each block adds the nonzeros of its columns on and below the
     diagonal, transposed, as rows of the upper triangle, and the strict
@@ -145,6 +146,8 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
         raise ValueError("order must be >= 1")
     if negatives < 1:
         raise ValueError("negatives must be >= 1")
+    if dim is not None and dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     transition = sparse.csr_array(hetero.matrix, copy=True)
     degrees = transition.sum(axis=1)
     if np.any(degrees <= 0):

@@ -483,7 +483,7 @@ def evaluate(model: EmbeddingModel, g: AttributedGraph,
     sub_seeds = np.random.SeedSequence(seed).generate_state(repeats)
 
     if task == "clustering":
-        k = g.c if g.c is not None else int(np.unique(labels).size)
+        k = g.c
         nmis, acs = [], []
         for s in sub_seeds:
             cl = kmeans(X, k, int(s))

@@ -199,7 +199,7 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
     n, m = g.n, g.m
     if n + m > size_cap:
         raise ValueError(
-            f"dense construction over {n + m} entities exceeds the size cap "
+            f"a combined graph of {n + m} entities exceeds the size cap "
             f"of {size_cap}; raise size_cap explicitly to proceed")
     sim = attribute_similarity(g.attr_weights)
     R1, R2 = motif_relations(g.attr_weights, weighted=weighted_motifs)

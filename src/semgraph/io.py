@@ -9,16 +9,22 @@ import numpy as np
 from scipy import sparse
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttributedGraph:
     """An undirected graph whose nodes carry nonnegative attribute weights.
 
     adjacency is a symmetric 0/1 sparse matrix with zero diagonal;
-    attr_weights holds one nonnegative row per node (one column per attribute).
-    Labels, when present, are dense class indices in [0, c).
+    attr_weights holds one finite nonnegative row per node (one column
+    per attribute), and every column has a positive entry.  Every node
+    has an edge or a positive attribute weight.  Labels, when present,
+    are nonnegative class indices, one per node; `c` is their count,
+    the largest index plus one.
     Both matrices are held as CSR arrays in canonical form (sorted indices,
     duplicate entries summed), made so on construction: an input already
     in that form is kept as it is, any other is converted on a copy.
+    Construction checks every invariant and raises ValueError on the
+    first one violated; the graph cannot be changed afterwards, so
+    `dataclasses.replace` is the way to vary one, and it checks again.
     """
 
     adjacency: sparse.csr_array
@@ -26,52 +32,11 @@ class AttributedGraph:
     node_ids: list[str]
     attr_ids: list[str]
     labels: np.ndarray | None = None
-    c: int | None = None
 
     def __post_init__(self):
-        self.adjacency = _canonical(self.adjacency)
-        self.attr_weights = _canonical(self.attr_weights)
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.attr_weights.shape[1]
-
-    @property
-    def e(self) -> int:
-        return int(self.adjacency.count_nonzero() // 2)
-
-    @classmethod
-    def from_dense(cls, adjacency, attr_weights, node_ids=None, attr_ids=None,
-                   labels=None) -> "AttributedGraph":
-        """Build a graph from dense arrays and validate every invariant."""
-        adjacency = np.asarray(adjacency, dtype=float)
-        attr_weights = np.asarray(attr_weights, dtype=float)
-        n = adjacency.shape[0]
-        m = attr_weights.shape[1] if attr_weights.ndim == 2 else 0
-        if attr_weights.ndim != 2 or attr_weights.shape[0] != n:
-            raise ValueError("attr_weights must be an n x m matrix")
-        if node_ids is None:
-            node_ids = [str(i) for i in range(n)]
-        if attr_ids is None:
-            attr_ids = [str(w) for w in range(m)]
-        g = cls(
-            adjacency=sparse.csr_array(adjacency),
-            attr_weights=sparse.csr_array(attr_weights) if m else
-            sparse.csr_array((n, 0)),
-            node_ids=list(node_ids),
-            attr_ids=list(attr_ids),
-            labels=None if labels is None else np.asarray(labels, dtype=int),
-            c=None if labels is None else int(np.max(labels)) + 1,
-        )
-        g.validate()
-        return g
-
-    def validate(self) -> None:
-        """Raise ValueError on any violated structural invariant."""
+        object.__setattr__(self, "adjacency", _canonical(self.adjacency))
+        object.__setattr__(self, "attr_weights",
+                           _canonical(self.attr_weights))
         adj = self.adjacency
         n, m = self.n, self.m
         if adj.shape != (n, n):
@@ -101,8 +66,47 @@ class AttributedGraph:
         if self.labels is not None:
             if len(self.labels) != n:
                 raise ValueError("labels must cover every node")
-            if self.c is None or self.labels.min() < 0 or self.labels.max() >= self.c:
-                raise ValueError("labels must lie in [0, c)")
+            if self.labels.min() < 0:
+                raise ValueError("labels must be nonnegative")
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.attr_weights.shape[1]
+
+    @property
+    def e(self) -> int:
+        return int(self.adjacency.count_nonzero() // 2)
+
+    @property
+    def c(self) -> int | None:
+        return None if self.labels is None else int(self.labels.max()) + 1
+
+    @classmethod
+    def from_dense(cls, adjacency, attr_weights, node_ids=None, attr_ids=None,
+                   labels=None) -> "AttributedGraph":
+        """Build a graph from dense arrays."""
+        adjacency = np.asarray(adjacency, dtype=float)
+        attr_weights = np.asarray(attr_weights, dtype=float)
+        n = adjacency.shape[0]
+        m = attr_weights.shape[1] if attr_weights.ndim == 2 else 0
+        if attr_weights.ndim != 2 or attr_weights.shape[0] != n:
+            raise ValueError("attr_weights must be an n x m matrix")
+        if node_ids is None:
+            node_ids = [str(i) for i in range(n)]
+        if attr_ids is None:
+            attr_ids = [str(w) for w in range(m)]
+        return cls(
+            adjacency=sparse.csr_array(adjacency),
+            attr_weights=sparse.csr_array(attr_weights) if m else
+            sparse.csr_array((n, 0)),
+            node_ids=list(node_ids),
+            attr_ids=list(attr_ids),
+            labels=None if labels is None else np.asarray(labels, dtype=int),
+        )
 
 
 def _canonical(matrix) -> sparse.csr_array:
@@ -197,7 +201,6 @@ def load_graph(edges_path, attrs_path, labels_path=None) -> AttributedGraph:
     attr_ids = [attr_ids[w] for w in keep]
 
     labels = None
-    c = None
     if labels_path is not None:
         class_index: dict[str, int] = {}
         raw_labels: dict[int, int] = {}
@@ -217,13 +220,10 @@ def load_graph(edges_path, attrs_path, labels_path=None) -> AttributedGraph:
         if missing:
             raise ValueError(f"nodes without a label: {missing[:5]}")
         labels = np.array([raw_labels[i] for i in range(n)], dtype=int)
-        c = len(class_index)
 
-    g = AttributedGraph(adjacency=adjacency, attr_weights=attrs,
-                        node_ids=node_ids, attr_ids=attr_ids,
-                        labels=labels, c=c)
-    g.validate()
-    return g
+    return AttributedGraph(adjacency=adjacency, attr_weights=attrs,
+                           node_ids=node_ids, attr_ids=attr_ids,
+                           labels=labels)
 
 
 @dataclass

@@ -69,6 +69,8 @@ class NodeLaplacian:
 
     Q = A - d d^T / (2e) is the modularity matrix of the adjacency A with
     degrees d, and S = U U^T the cosine of the unit attribute rows U.
+    A is the graph's checked 0/1 adjacency, whose diagonal is zero, so
+    Q's diagonal is -d_i^2 / 2e.
     Each mnorm is the rank-1 shift by the source's minimum and a scale by
     1 / (max - min), so T X costs one product with A and two with U, and
     rank-1 terms.  The extremes come from the structure: `_modularity_range`
@@ -123,10 +125,10 @@ class NodeLaplacian:
         return TX
 
     def _similarity_diagonal(self) -> np.ndarray:
-        """T's diagonal, from A's self-loops and the row norms of U."""
+        """T's diagonal, from the degrees (A's diagonal is zero) and the
+        row norms of U."""
         c_q, c_s = self._q[0], self._s[0]
-        self_loops = self._adjacency.diagonal()
-        diag = c_q * (self_loops - self._d * self._d / self._two_e)
+        diag = c_q * (0.0 - self._d * self._d / self._two_e)
         if c_s:
             diag += c_s * _row_sums(self._unit.multiply(self._unit))
         diag -= self._shift
@@ -173,45 +175,22 @@ def _modularity_range(adjacency, d, two_e):
     """(min, max) of the dense modularity matrix A - d d^T / 2e, bit for
     bit, without forming it.
 
-    The adjacency is the COO form of a canonical CSR array: one entry per
-    stored pair, in row-major order.  A stored entry (an edge or a
-    self-loop) is fl(a_ij - fl(fl(d_i d_j) / 2e)), the dense matrix's own
-    operations.  Every unstored entry, the diagonal included, is
-    -fl(fl(d_i d_j) / 2e), monotone in the product, so its extremes are
-    at the smallest and the largest degree product over unstored pairs.
-    With the degrees ranked in ascending order, row i's unstored columns
-    with the largest and the smallest degree are the highest and the
-    lowest ranks its stored entries leave free; which of them gives the
-    row's largest product depends on the sign of d_i.
+    The adjacency is the COO form of a canonical CSR array of a checked
+    graph: its entries are 0 or 1, none on the diagonal, so the degrees
+    are nonnegative and 2e > 0.  A stored entry is fl(a_ij - fl(fl(d_i
+    d_j) / 2e)), the dense matrix's own operations.  Every unstored entry
+    is fl(0 - fl(fl(d_i d_j) / 2e)), as a stored zero is, and falls as
+    the product d_i d_j grows.  Over all pairs that product is least at
+    d_min^2 and largest at d_max^2, both on the diagonal, which holds no
+    edge: those two diagonal entries are the unstored extremes.
     """
-    n = adjacency.shape[0]
-    rows = adjacency.row.astype(np.int64)
-    cols = adjacency.col.astype(np.int64)
-    stored = d[rows] * d[cols]
+    stored = d[adjacency.row] * d[adjacency.col]
     stored /= two_e
     np.subtract(adjacency.data, stored, out=stored)
-    lo, hi = stored.min(), stored.max()
-
-    order = np.argsort(d, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    ranks = np.sort(rows * n + rank[cols]) % n  # ascending in each row
-    counts = np.bincount(rows, minlength=n)
-    start = np.repeat(np.cumsum(counts) - counts, counts)
-    t = np.arange(len(ranks)) - start  # position within the row
-    lowest = np.bincount(rows[ranks == t], minlength=n)
-    top = np.bincount(rows[ranks == n - np.repeat(counts, counts) + t],
-                      minlength=n)
-    free = counts < n
-    if free.any():
-        d_i = d[free]
-        small = d[order[lowest[free]]]
-        large = d[order[n - 1 - top[free]]]
-        unstored = np.concatenate([d_i * small, d_i * large])
-        unstored /= two_e  # of either sign, for weights of either sign
-        np.negative(unstored, out=unstored)
-        lo, hi = min(lo, unstored.min()), max(hi, unstored.max())
-    return lo, hi
+    squares = np.square([d.max(), d.min()])
+    squares /= two_e
+    lo, hi = np.subtract(0.0, squares)
+    return min(stored.min(), lo), max(stored.max(), hi)
 
 
 def _cosine_range(unit: sparse.csr_array):

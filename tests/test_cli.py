@@ -13,7 +13,7 @@ import semgraph
 from semgraph import (build_hetero_adjacency, build_side_info, factorize,
                       load_graph, planted_attributed_sbm, read_embeddings,
                       side_enhance, walk_matrix, write_embeddings)
-from semgraph import cli, evaluation, sideinfo
+from semgraph import cli, embedding, evaluation, sideinfo
 from semgraph.cli import build_parser, main
 from semgraph.embedding import LANCZOS_MIN_RATIO
 
@@ -343,6 +343,24 @@ class TestFailures:
                      "--size-cap", "4", "--out", str(tmp / "x.tsv")])
         assert code == 1
         assert "size cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_dim_below_one_fails_before_the_walk(self, dataset, dim,
+                                                  monkeypatch, capsys):
+        """A rank below 1 is one error line, given before the walk
+        matrix's blocks are computed: the walk decides their storage
+        from the rank just before its block loop, and never gets there."""
+        decided = []
+        monkeypatch.setattr(embedding, "_takes_lanczos",
+                            lambda *args: decided.append(args))
+        paths, tmp = dataset
+        code = main(["embed", *_base_argv(paths, f"--dim={dim}"),
+                     "--out", str(tmp / "x.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error\tdim must be >= 1, got {dim}\n"
+        assert not decided
+        assert not (tmp / "x.tsv").exists()
 
 
 class TestImportCost:

@@ -215,7 +215,6 @@ def _bit_identity_cases():
     explicit_zero = AttributedGraph(
         adjacency=sparse.csr_array(path), attr_weights=R,
         node_ids=["a", "b", "c"], attr_ids=["x", "y"])
-    explicit_zero.validate()
     bare = dataclasses.replace(
         planted, attr_weights=sparse.csr_array((planted.n, 0)), attr_ids=[])
     return {

@@ -64,8 +64,9 @@ class TestLoadGraph:
             load_graph(*_files(tmp_path, "a\tb\n", "a\tx\t-1\n"))
 
     def test_non_finite_weight(self, tmp_path):
-        with pytest.raises(ValueError, match="non-finite"):
-            load_graph(*_files(tmp_path, "a\tb\n", "a\tx\tinf\n"))
+        for weight in ("inf", "-inf", "nan"):
+            with pytest.raises(ValueError, match="non-finite"):
+                load_graph(*_files(tmp_path, "a\tb\n", f"a\tx\t{weight}\n"))
 
     def test_isolated_node_named(self, tmp_path):
         # "c" only ever appears with weight-0 attributes
@@ -111,7 +112,6 @@ class TestLoadGraph:
                 g = load_graph(str(edges), str(attrs))
             except ValueError:
                 continue  # generated an isolated node; rejection is correct
-            g.validate()
             dense = g.adjacency.toarray()
             assert np.array_equal(dense, dense.T)
             assert np.all(np.diag(dense) == 0)
@@ -153,19 +153,119 @@ class TestFromDense:
             AttributedGraph.from_dense(A, np.ones((2, 1)), labels=[0, -1])
 
 
+def _path():
+    """A valid 3-node path with labels, every node carrying attribute x;
+    each case of `_broken` changes one thing in it."""
+    A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    return A, np.ones((3, 1)), np.array([0, 1, 0])
+
+
+def _broken(case):
+    """(A, R, labels) of the path with one invariant broken."""
+    A, R, labels = _path()
+    if case == "asymmetric":
+        A[0, 1] = 0.0
+    elif case == "self-loop":
+        A[0, 0] = 1.0
+    elif case == "non-binary entry":
+        A[0, 1] = A[1, 0] = 2.0
+    elif case == "negative entry":
+        A[0, 1] = A[1, 0] = -1.0
+    elif case == "negative weight":
+        R[0, 0] = -1.0
+    elif case in ("infinite weight", "nan weight"):
+        R[0, 0] = np.inf if case == "infinite weight" else np.nan
+    elif case == "isolated node":
+        A[1, 2] = A[2, 1] = 0.0
+        R[2, 0] = 0.0
+    elif case == "negative label":
+        labels[1] = -1
+    elif case == "short labels":
+        labels = labels[:2]
+    return A, R, labels
+
+
+# The message each broken case is rejected with.
+_REJECTED = {
+    "asymmetric": "symmetric", "self-loop": "diagonal",
+    "non-binary entry": "0 or 1", "negative entry": "0 or 1",
+    "negative weight": "weights must be nonnegative",
+    "infinite weight": "finite", "nan weight": "finite",
+    "isolated node": "has no edges", "negative label": "labels",
+    "short labels": "labels",
+}
+
+
+class TestConstruction:
+    """Every way of building a graph checks it, and a built graph cannot
+    be changed.  `load_graph`'s rejections are in `TestLoadGraph`: its
+    edge list cannot express the adjacency cases, since it holds no
+    weights and self-loops and both directions of an edge fold away."""
+
+    @pytest.mark.parametrize("case", sorted(_REJECTED))
+    def test_direct_constructor_rejects(self, case):
+        A, R, labels = _broken(case)
+        with pytest.raises(ValueError, match=_REJECTED[case]):
+            AttributedGraph(adjacency=sparse.csr_array(A),
+                            attr_weights=sparse.csr_array(R),
+                            node_ids=["a", "b", "c"], attr_ids=["x"],
+                            labels=labels)
+
+    @pytest.mark.parametrize("case", sorted(_REJECTED))
+    def test_from_dense_rejects(self, case):
+        A, R, labels = _broken(case)
+        with pytest.raises(ValueError, match=_REJECTED[case]):
+            AttributedGraph.from_dense(A, R, labels=labels)
+
+    @pytest.mark.parametrize("case", sorted(_REJECTED))
+    def test_replace_rejects(self, case):
+        A, R, labels = _path()
+        g = AttributedGraph.from_dense(A, R, labels=labels)
+        A, R, labels = _broken(case)
+        with pytest.raises(ValueError, match=_REJECTED[case]):
+            dataclasses.replace(g, adjacency=sparse.csr_array(A),
+                                attr_weights=sparse.csr_array(R),
+                                labels=labels)
+
+    def test_fields_cannot_be_assigned(self):
+        """Reassigning a field would skip the checks and the canonical
+        form: a non-canonical adjacency set after construction would be
+        summed in place by the next g.e."""
+        A, R, labels = _path()
+        g = AttributedGraph.from_dense(A, R, labels=labels)
+        twice = oracles.stored_twice(A)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.adjacency = twice
+        for name, value in (("attr_weights", sparse.csr_array(R)),
+                            ("node_ids", ["x", "y", "z"]),
+                            ("labels", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, value)
+        assert np.array_equal(g.adjacency.toarray(), A)
+        assert g.adjacency.has_canonical_format and g.c == 2
+
+    def test_class_count_follows_labels(self):
+        A, R, _ = _path()
+        g = AttributedGraph.from_dense(A, R, labels=[2, 0, 2])
+        assert g.c == 3  # classes are indices: 1 is a class with no node
+        assert dataclasses.replace(g, labels=None).c is None
+
+
 class TestValidate:
+    """The checks every graph passes when it is built."""
+
     def test_path_graph_validates_without_dense_copy(self):
         n = 4000
         i = np.arange(n - 1)
         adjacency = sparse.csr_array(sparse.coo_array(
             (np.ones(2 * (n - 1)), (np.r_[i, i + 1], np.r_[i + 1, i])),
             shape=(n, n)))
-        g = AttributedGraph(adjacency=adjacency,
-                            attr_weights=sparse.csr_array((n, 0)),
-                            node_ids=[str(k) for k in range(n)], attr_ids=[])
+        assert adjacency.has_canonical_format  # the graph keeps it as is
         tracemalloc.start()
         try:
-            g.validate()
+            AttributedGraph(adjacency=adjacency,
+                            attr_weights=sparse.csr_array((n, 0)),
+                            node_ids=[str(k) for k in range(n)], attr_ids=[])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -180,7 +280,7 @@ class TestValidate:
         g = AttributedGraph(adjacency=adjacency,
                             attr_weights=sparse.csr_array((2, 0)),
                             node_ids=["a", "b"], attr_ids=[])
-        g.validate()
+        assert g.e == 1
 
     def test_stored_zeros_are_not_edges(self):
         # edge a-b plus a stored zero at (b, c) and (c, b)
@@ -191,7 +291,6 @@ class TestValidate:
         g = AttributedGraph(adjacency=adjacency,
                             attr_weights=sparse.csr_array(np.eye(3)),
                             node_ids=["a", "b", "c"], attr_ids=["x", "y", "z"])
-        g.validate()
         assert g.e == 1
         # the refinement's modularity Laplacian reads them as absent too
         L = build_side_info(g, lambdas=(1.0, 0.0)).node_laplacian
@@ -246,7 +345,6 @@ class TestCanonicalForm:
         for _ in range(20):
             A, R0 = oracles.random_connected_graph(rng)
             g = self._graph(oracles.stored_twice(A), sparse.csr_array(R0))
-            g.validate()
             view = g.adjacency.tocoo()
             before = [view.row.copy(), view.col.copy(), view.data.copy()]
             assert g.e == np.count_nonzero(A) // 2

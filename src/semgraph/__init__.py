@@ -1,8 +1,10 @@
 """semgraph: joint node/attribute embeddings of attributed graphs.
 
 Pipeline: an attributed graph becomes one weighted adjacency over nodes
-and attributes (`build_hetero_adjacency`), whose random-walk proximity
-matrix (`walk_matrix`) is symmetric and is factorized at rank k through
+and attributes (`build_hetero_adjacency`: the topology, the attribute
+weights blended with their `motif_relations` counts, and the attributes'
+similarity), whose random-walk proximity matrix (`walk_matrix`) is
+symmetric and is factorized at rank k through
 its k eigenpairs of largest magnitude (`factorize`, or `embed` for the
 whole chain): by sparse Lanczos when k is a small fraction of its size,
 by a dense symmetric eigensolver otherwise.  `side_enhance` refines the
@@ -25,8 +27,7 @@ from .evaluation import (Clustering, EvalReport, LinearClassifier, accuracy,
                          classify, clustering_accuracy, evaluate, kmeans,
                          macro_f1, match_clusters, nmi, train_classifier)
 from .hetero import (DENSE_SIZE_CAP, HeteroAdjacency, attribute_similarity,
-                     build_hetero_adjacency, combine_relations,
-                     motif_relations)
+                     build_hetero_adjacency, motif_relations)
 from .io import (AttributedGraph, EmbeddingFile, load_graph,
                  read_embeddings, write_embeddings)
 from .sideinfo import (SideInfo, build_side_info, objective_value,
@@ -41,7 +42,7 @@ __all__ = [
     "HeteroAdjacency", "LinearClassifier", "SideInfo", "TopicDescription",
     "WalkMatrix", "accuracy", "attribute_block", "attribute_similarity",
     "build_hetero_adjacency", "build_side_info", "classify",
-    "clustering_accuracy", "combine_relations", "describe_direct",
+    "clustering_accuracy", "describe_direct",
     "describe_topics", "embed", "evaluate", "factorize",
     "format_descriptions", "kmeans", "load_graph", "macro_f1",
     "match_clusters", "motif_relations", "nmi", "objective_value",

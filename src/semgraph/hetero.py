@@ -3,7 +3,8 @@
 The combined graph places the original nodes and their attributes side by
 side as entities; its weighted adjacency has the original topology in the
 top-left block, normalized node-attribute relations off-diagonal, and
-normalized attribute-attribute similarity in the bottom-right block.
+normalized attribute-attribute similarity in the bottom-right block.  The
+relations blend the attribute weights with their two motif counts.
 """
 
 from __future__ import annotations
@@ -78,10 +79,18 @@ def motif_relations(attr_weights, weighted: bool = False):
 
     A pair with zero weight is in no motif, so both counts are CSR arrays
     on the support of the weights (their positive entries), the pattern
-    `combine_relations` computes on.  A count of zero on the support is
-    stored; `.toarray()` gives the dense counts.
+    `build_hetero_adjacency` blends them on.  A count of zero on the
+    support is stored; `.toarray()` gives the dense counts.
     """
     R0 = _support(attr_weights)
+    return tuple(sparse.csr_array((counts, R0.indices.copy(),
+                                   R0.indptr.copy()), shape=R0.shape)
+                 for counts in _motif_counts(R0, weighted))
+
+
+def _motif_counts(R0: sparse.csr_array, weighted: bool):
+    """The two motif counts of `motif_relations` as fresh value arrays on
+    the pattern of R0, a `_support`."""
     nodes_per_attr = np.bincount(R0.indices, minlength=R0.shape[1])
     attrs_per_node = np.diff(R0.indptr)
     shared_nodes = nodes_per_attr[R0.indices] - 1.0
@@ -89,41 +98,36 @@ def motif_relations(attr_weights, weighted: bool = False):
     if weighted:
         shared_nodes *= R0.data
         shared_attrs *= R0.data
-    return _on_support(R0, shared_nodes), _on_support(R0, shared_attrs)
+    return shared_nodes, shared_attrs
 
 
-def combine_relations(R0, R1, R2, deltas) -> sparse.csr_array:
-    """Blend the three relation matrices into one normalized block.
+def _relation_block(attr_weights, deltas, weighted: bool) -> sparse.csr_array:
+    """`build_hetero_adjacency`'s relation block.
 
-    Each input is mnorm-ed individually, combined with the delta weights,
-    and the combination is mnorm-ed again.  The weighted parts are summed
-    in place, one at a time.
-
-    R0 holds nonnegative weights; R1 and R2 must be nonnegative sparse
-    arrays stored on exactly R0's support (its positive entries), as
-    `motif_relations`' counts are; relations on another pattern, dense
-    ones included, raise ValueError.  All three and their blend are then
-    zero off that support, and the work is done on their values there:
-    while the support leaves an entry out, every minimum mnorm takes is 0
-    and it is x / max; when it covers every entry, the minimum is the
-    least value on it.  The result is a CSR array without stored zeros,
-    bit-identical to the blend of the dense matrices.
+    The weights R0, their motif counts R1, R2 and the blend are zero off
+    the support of the weights (their positive entries), so the work is
+    done on their values there, the weighted parts summed in place one at
+    a time: while the support leaves an entry out, every minimum mnorm
+    takes is 0 and it is x / max; when it covers every entry, the minimum
+    is the least value on it.  The result is a CSR array without stored
+    zeros, bit-identical to the blend of the dense matrices.
     """
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) != 3 or not all(np.isfinite(d) and d >= 0 for d in deltas):
         raise ValueError(f"need three finite nonnegative deltas: {deltas}")
-    R0 = _support(R0)
+    R0 = _support(attr_weights)
+    counts = _motif_counts(R0, weighted)
     lo = None if R0.nnz == R0.shape[0] * R0.shape[1] else 0.0
-    combined = _mnorm_in_place(R0.data.copy(), lo)
-    combined *= deltas[0]
-    for d, R in zip(deltas[1:], (R1, R2)):
-        part = _mnorm_in_place(_values_on(R, R0), lo)
+    # the blend overwrites R0's values, which the counts have been read from
+    blend = _mnorm_in_place(R0.data, lo)
+    blend *= deltas[0]
+    for d, part in zip(deltas[1:], counts):
+        _mnorm_in_place(part, lo)
         part *= d
-        combined += part
-        del part  # freed before the next part is made
-    out = _on_support(R0, _mnorm_in_place(combined, lo))
-    out.eliminate_zeros()
-    return out
+        blend += part
+    _mnorm_in_place(blend, lo)
+    R0.eliminate_zeros()
+    return R0
 
 
 def _support(weights) -> sparse.csr_array:
@@ -135,30 +139,6 @@ def _support(weights) -> sparse.csr_array:
     if np.any(R.data < 0):
         raise ValueError("attribute weights must be nonnegative")
     return R
-
-
-def _on_support(R0: sparse.csr_array, values: np.ndarray) -> sparse.csr_array:
-    """CSR array of `values` on R0's pattern (index arrays copied)."""
-    return sparse.csr_array((values, R0.indices.copy(), R0.indptr.copy()),
-                            shape=R0.shape)
-
-
-def _values_on(R, R0: sparse.csr_array) -> np.ndarray:
-    """A fresh array of R's entries, R a nonnegative sparse array stored
-    in canonical form on exactly R0's pattern."""
-    if np.shape(R) != R0.shape:
-        raise ValueError(
-            f"relation shapes differ: {np.shape(R)} != {R0.shape}")
-    if sparse.issparse(R):
-        R = sparse.csr_array(R, dtype=float)
-    if not (sparse.issparse(R) and R.has_canonical_format
-            and np.array_equal(R.indptr, R0.indptr)
-            and np.array_equal(R.indices, R0.indices)):
-        raise ValueError("relations must be sparse arrays on R0's support")
-    values = R.data.copy()
-    if np.any(values < 0):
-        raise ValueError("relations must be nonnegative")
-    return values
 
 
 @dataclass(frozen=True)
@@ -190,6 +170,10 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
     is zero.  Entities left without any relation are rejected because
     the downstream random walk divides by entity degrees.
 
+    The relation block is mnorm(d0 mnorm(R0) + d1 mnorm(R1) + d2 mnorm(R2))
+    of the attribute weights R0 and their `motif_relations` counts, for
+    `deltas` (d0, d1, d2) three finite nonnegative numbers.
+
     B is assembled once, as CSR, from the sparse adjacency, the sparse
     n-by-m relation block (built on the support of the attribute weights)
     and the dense m-by-m similarity block; it keeps the nonzeros of each
@@ -202,9 +186,7 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
             f"a combined graph of {n + m} entities exceeds the size cap "
             f"of {size_cap}; raise size_cap explicitly to proceed")
     sim = attribute_similarity(g.attr_weights)
-    R1, R2 = motif_relations(g.attr_weights, weighted=weighted_motifs)
-    rel = combine_relations(g.attr_weights, R1, R2, deltas)
-    del R1, R2
+    rel = _relation_block(g.attr_weights, deltas, weighted_motifs)
     if not rel.nnz and not sim.any():
         # No attributes, or no weight on the attribute side (say, all-zero
         # deltas and a single attribute, whose 1-by-1 similarity block

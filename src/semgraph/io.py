@@ -15,10 +15,11 @@ class AttributedGraph:
 
     adjacency is a symmetric 0/1 sparse matrix with zero diagonal;
     attr_weights holds one finite nonnegative row per node (one column
-    per attribute), and every column has a positive entry.  Every node
-    has an edge or a positive attribute weight.  Labels, when present,
-    are nonnegative class indices, one per node; `c` is their count,
-    the largest index plus one.
+    per attribute), and every column has a positive entry.  There is at
+    least one node, and every node has an edge or a positive attribute
+    weight.  Labels, when present, are nonnegative integer class indices,
+    one per node, held as the array `np.asarray` makes of them; `c` is
+    their count, the largest index plus one.
     Both matrices are held as CSR arrays in canonical form (sorted indices,
     duplicate entries summed), made so on construction: an input already
     in that form is kept as it is, any other is converted on a copy.
@@ -41,6 +42,8 @@ class AttributedGraph:
         n, m = self.n, self.m
         if adj.shape != (n, n):
             raise ValueError("adjacency must be square")
+        if n == 0:
+            raise ValueError("empty graph: no nodes")
         if len(self.node_ids) != n or len(self.attr_ids) != m:
             raise ValueError("id lists inconsistent with matrix shapes")
         # Checked on the stored entries only: no n x n array is built.
@@ -64,9 +67,12 @@ class AttributedGraph:
             raise ValueError(
                 f"node {self.node_ids[bad]!r} has no edges and no attributes")
         if self.labels is not None:
-            if len(self.labels) != n:
-                raise ValueError("labels must cover every node")
-            if self.labels.min() < 0:
+            labels = np.asarray(self.labels)
+            object.__setattr__(self, "labels", labels)
+            if (labels.shape != (n,)
+                    or not np.issubdtype(labels.dtype, np.integer)):
+                raise ValueError("labels must be one integer per node")
+            if labels.min() < 0:
                 raise ValueError("labels must be nonnegative")
 
     @property
@@ -105,7 +111,7 @@ class AttributedGraph:
             sparse.csr_array((n, 0)),
             node_ids=list(node_ids),
             attr_ids=list(attr_ids),
-            labels=None if labels is None else np.asarray(labels, dtype=int),
+            labels=labels,
         )
 
 

@@ -22,8 +22,7 @@ from .embedding import LANCZOS_MIN_RATIO, WalkMatrix, factorize, walk_matrix
 from .evaluation import classify, clustering_accuracy, nmi, train_classifier
 from .hetero import build_hetero_adjacency, motif_relations
 from .io import AttributedGraph
-from .sideinfo import (SideInfo, _modularity_parts, _modularity_range,
-                       update_x)
+from .sideinfo import SideInfo, _modularity_range, update_x
 
 
 def _check_walk(rng, rounds):
@@ -100,7 +99,7 @@ def _check_refinement(rng, rounds):
         lam1, lam2 = rng.uniform(0.0, 3.0, size=2)
         side = SideInfo(g, (lam1, lam2))
         Q = reference.modularity_matrix(A)
-        if _modularity_range(*_modularity_parts(g)) != (Q.min(), Q.max()):
+        if _modularity_range(g.adjacency) != (Q.min(), Q.max()):
             return 1.0, 1e-10
         T = (lam1 * reference.mnorm(Q)
              + lam2 * reference.mnorm(reference.attribute_cosine(W)))

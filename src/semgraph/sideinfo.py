@@ -48,11 +48,22 @@ class SideInfo:
     the graph on each access; it is the `L` of `update_x` and
     `objective_value`, which read it as zero on the `size` - n attribute
     rows.  `semgraph.reference` holds the dense sources it is checked
-    against.
+    against.  Construction checks that there are exactly two finite,
+    nonnegative lambdas, stored as floats, and that the graph has an
+    edge, which modularity needs; it raises ValueError otherwise.
     """
 
     graph: AttributedGraph
     lambdas: tuple[float, float]
+
+    def __post_init__(self):
+        if len(self.lambdas) != 2:
+            raise ValueError("exactly two source weights expected")
+        lam = (float(self.lambdas[0]), float(self.lambdas[1]))
+        if not all(np.isfinite(x) and x >= 0 for x in lam):
+            raise ValueError(f"lambdas must be finite and non-negative: {lam}")
+        _require_edges(self.graph)
+        object.__setattr__(self, "lambdas", lam)
 
     @property
     def size(self) -> int:
@@ -85,12 +96,13 @@ class NodeLaplacian:
         lam1, lam2 = lambdas
         n = g.n
         self.shape = (n, n)
-        adjacency, self._d, self._two_e = _modularity_parts(g)
+        _require_edges(g)
         self._adjacency = g.adjacency
+        self._d = _row_sums(self._adjacency)
+        self._two_e = self._d.sum()
         self._unit = _unit_rows(g.attr_weights)
         self._unit_t = self._unit.T.tocsr()
-        self._q = self._scale(lam1, _modularity_range(adjacency, self._d,
-                                                      self._two_e))
+        self._q = self._scale(lam1, _modularity_range(self._adjacency))
         self._s = self._scale(lam2, _cosine_range(self._unit))
         self._shift = self._q[1] + self._s[1]
         self._degrees_t = self._similarity(np.ones(n))
@@ -147,15 +159,6 @@ class NodeLaplacian:
         return np.subtract(degrees * X, TX, out=TX)
 
 
-def _modularity_parts(g: AttributedGraph):
-    """The adjacency as COO, its degrees d and their total 2e: what the
-    modularity matrix A - d d^T / 2e is made of."""
-    _require_edges(g)
-    adjacency = g.adjacency.tocoo()
-    d = _row_sums(adjacency)
-    return adjacency, d, d.sum()
-
-
 def _row_sums(M) -> np.ndarray:
     return np.ravel(M.sum(axis=1))
 
@@ -171,12 +174,13 @@ def _unit_rows(weights) -> sparse.csr_array:
     return unit
 
 
-def _modularity_range(adjacency, d, two_e):
-    """(min, max) of the dense modularity matrix A - d d^T / 2e, bit for
-    bit, without forming it.
+def _modularity_range(adjacency: sparse.csr_array):
+    """(min, max) of the dense modularity matrix A - d d^T / 2e of the
+    adjacency A, with degrees d and 2e their total, bit for bit, without
+    forming it.
 
-    The adjacency is the COO form of a canonical CSR array of a checked
-    graph: its entries are 0 or 1, none on the diagonal, so the degrees
+    The adjacency is the canonical CSR array of a checked graph with an
+    edge: its entries are 0 or 1, none on the diagonal, so the degrees
     are nonnegative and 2e > 0.  A stored entry is fl(a_ij - fl(fl(d_i
     d_j) / 2e)), the dense matrix's own operations.  Every unstored entry
     is fl(0 - fl(fl(d_i d_j) / 2e)), as a stored zero is, and falls as
@@ -184,7 +188,9 @@ def _modularity_range(adjacency, d, two_e):
     d_min^2 and largest at d_max^2, both on the diagonal, which holds no
     edge: those two diagonal entries are the unstored extremes.
     """
-    stored = d[adjacency.row] * d[adjacency.col]
+    d = _row_sums(adjacency)
+    two_e = d.sum()
+    stored = np.repeat(d, np.diff(adjacency.indptr)) * d[adjacency.indices]
     stored /= two_e
     np.subtract(adjacency.data, stored, out=stored)
     squares = np.square([d.max(), d.min()])
@@ -220,14 +226,8 @@ def _require_edges(g: AttributedGraph) -> None:
 
 
 def build_side_info(g: AttributedGraph, lambdas=(1.0, 1.0)) -> SideInfo:
-    """Check the weights and the graph; the sources are built on use."""
-    if len(lambdas) != 2:
-        raise ValueError("exactly two source weights expected")
-    lam = (float(lambdas[0]), float(lambdas[1]))
-    if not all(np.isfinite(x) and x >= 0 for x in lam):
-        raise ValueError(f"lambdas must be finite and non-negative: {lam}")
-    _require_edges(g)
-    return SideInfo(graph=g, lambdas=lam)
+    """The checked `SideInfo` of g; the sources are built on use."""
+    return SideInfo(g, lambdas)
 
 
 def _covered_rows(L, size: int) -> int:

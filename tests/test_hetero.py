@@ -7,8 +7,8 @@ from scipy import sparse
 
 import oracles
 from semgraph import (AttributedGraph, attribute_similarity,
-                      build_hetero_adjacency, combine_relations,
-                      motif_relations, planted_attributed_sbm)
+                      build_hetero_adjacency, motif_relations,
+                      planted_attributed_sbm)
 from semgraph.hetero import _mnorm_in_place
 
 
@@ -111,42 +111,34 @@ class TestMotifRelations:
             assert np.array_equal(ours[1].toarray(), ref[1])
 
 
+def _relations(R0, deltas):
+    """The relation block B[:n, n:] that `build_hetero_adjacency` makes
+    for a path over the n nodes of the attribute weights R0."""
+    R0 = np.asarray(R0, dtype=float)
+    n = R0.shape[0]
+    A = np.eye(n, k=1) + np.eye(n, k=-1)
+    B = build_hetero_adjacency(AttributedGraph.from_dense(A, R0),
+                               deltas=deltas).matrix
+    return B[:n, n:].toarray()
+
+
 class TestCombineRelations:
+    """The relation block blends the weights and their motif counts:
+    mnorm(d0 mnorm(R0) + d1 mnorm(R1) + d2 mnorm(R2))."""
+
     def test_delta_100_is_identity_on_binary(self):
         R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-        out = combine_relations(R0, *motif_relations(R0), (1.0, 0.0, 0.0))
-        assert np.array_equal(out.toarray(), R0)
+        assert np.array_equal(_relations(R0, (1.0, 0.0, 0.0)), R0)
 
     def test_all_zero_deltas(self):
-        R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-        out = combine_relations(R0, *motif_relations(R0), (0.0, 0.0, 0.0))
-        assert not out.toarray().any()
-
-    def test_dense_relations_rejected(self):
-        # dense counts equal to motif_relations' still take no other path
-        R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-        R1, R2 = motif_relations(R0)
-        for args in ((R1.toarray(), R2), (R1, R2.toarray())):
-            with pytest.raises(ValueError, match="sparse arrays"):
-                combine_relations(R0, *args, (1.0, 1.0, 1.0))
-
-    def test_sparse_relation_on_another_pattern_rejected(self):
-        R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-        R1, R2 = motif_relations(R0)
-        wider = sparse.csr_array(np.ones((2, 2)))  # stored off the support
-        narrower = R1.copy()
-        narrower.eliminate_zeros()  # a count of 0 left off the support
-        assert narrower.nnz < R1.nnz
-        for R in (wider, narrower):
-            with pytest.raises(ValueError, match="support"):
-                combine_relations(R0, R, R2, (1.0, 1.0, 1.0))
+        # the similarity block keeps both attributes in B
+        out = _relations([[1.0, 0.0], [1.0, 1.0]], (0.0, 0.0, 0.0))
+        assert out.shape == (2, 2) and not out.any()
 
     def test_negative_relation_rejected(self):
         R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-        R1, R2 = motif_relations(R0)
-        R2.data[0] = -1.0
         with pytest.raises(ValueError, match="nonnegative"):
-            combine_relations(R0, R1, R2, (1.0, 1.0, 1.0))
+            motif_relations(-R0)
 
     def test_stored_zero_counts_accepted(self):
         # R0 = [[1, 0], [1, 1]]: node 0 carries one attribute, so its
@@ -154,28 +146,25 @@ class TestCombineRelations:
         R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
         R1, R2 = motif_relations(R0)
         assert R2.nnz == 3 and np.count_nonzero(R2.data) == 2
-        out = combine_relations(R0, R1, R2, (1.0, 1.0, 1.0))
         dense = [oracles.mnorm(R) for R in (R0, R1.toarray(), R2.toarray())]
-        assert np.allclose(out.toarray(), oracles.mnorm(sum(dense)))
+        assert np.allclose(_relations(R0, (1.0, 1.0, 1.0)),
+                           oracles.mnorm(sum(dense)))
 
     def test_composed_example(self):
         # parts: R0 itself, mnorm(R1)=[[0,1],[0,1]], mnorm(R2)=[[1,1],[0,0]]
         # sum [[2,3],[0,2]], final mnorm divides by 3
-        R0 = np.array([[1.0, 1.0], [0.0, 1.0]])
-        R1, R2 = motif_relations(R0)
-        out = combine_relations(R0, R1, R2, (1.0, 1.0, 1.0))
-        assert np.allclose(out.toarray(), [[2 / 3, 1.0], [0.0, 2 / 3]])
+        out = _relations([[1.0, 1.0], [0.0, 1.0]], (1.0, 1.0, 1.0))
+        assert np.allclose(out, [[2 / 3, 1.0], [0.0, 2 / 3]])
 
     def test_negative_delta_rejected(self):
-        Z = np.zeros((1, 1))
         for bad in (-0.5, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="deltas"):
-                combine_relations(Z, Z, Z, (1.0, bad, 0.0))
+                build_hetero_adjacency(_minimal_graph(),
+                                       deltas=(1.0, bad, 0.0))
 
     def test_wrong_arity_rejected(self):
-        Z = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            combine_relations(Z, Z, Z, (1.0, 1.0))
+        with pytest.raises(ValueError, match="deltas"):
+            build_hetero_adjacency(_minimal_graph(), deltas=(1.0, 1.0))
 
 
 def _dense_reference_b(g, deltas, weighted):
@@ -239,18 +228,6 @@ def test_sparse_build_bit_identical_to_dense_reference(case):
         assert np.array_equal(getattr(B, field), getattr(ref, field))
 
 
-def test_relations_off_the_support_rejected():
-    R0 = np.array([[1.0, 0.0], [1.0, 1.0]])
-    R1, R2 = motif_relations(R0)
-    off = sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="support"):
-        combine_relations(R0, off, R2, (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="nonnegative"):
-        combine_relations(R0, -R1, R2, (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="nonnegative"):
-        motif_relations(-R0)
-
-
 def _minimal_graph():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     R = np.array([[1.0], [0.0]])
@@ -298,10 +275,10 @@ class TestBuildHeteroAdjacency:
             if hetero.m == 0:
                 continue  # degenerate input collapsed to pure topology
             R0 = g.attr_weights.toarray()
-            rel = combine_relations(R0, *motif_relations(R0),
-                                    (1.0, 1.0, 1.0)).toarray()
-            dense = np.block([[g.adjacency.toarray(), rel],
-                              [rel.T, attribute_similarity(R0)]])
+            dense = oracles.assemble_b(g.adjacency.toarray(), R0,
+                                       (1.0, 1.0, 1.0))
+            # the oracle's loop-form similarity rounds differently
+            dense[g.n:, g.n:] = attribute_similarity(R0)
             assert np.array_equal(hetero.matrix.toarray(), dense)
             assert np.all(hetero.matrix.data != 0.0)
 

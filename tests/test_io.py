@@ -182,6 +182,10 @@ def _broken(case):
         labels[1] = -1
     elif case == "short labels":
         labels = labels[:2]
+    elif case == "2-d labels":
+        labels = labels[:, None]
+    elif case == "float labels":
+        labels = labels.astype(float)
     return A, R, labels
 
 
@@ -192,7 +196,8 @@ _REJECTED = {
     "negative weight": "weights must be nonnegative",
     "infinite weight": "finite", "nan weight": "finite",
     "isolated node": "has no edges", "negative label": "labels",
-    "short labels": "labels",
+    "short labels": "labels", "2-d labels": "labels",
+    "float labels": "labels",
 }
 
 
@@ -243,6 +248,30 @@ class TestConstruction:
                 setattr(g, name, value)
         assert np.array_equal(g.adjacency.toarray(), A)
         assert g.adjacency.has_canonical_format and g.c == 2
+
+    def test_label_list_becomes_an_array(self):
+        A, R, _ = _path()
+        g = AttributedGraph(adjacency=sparse.csr_array(A),
+                            attr_weights=sparse.csr_array(R),
+                            node_ids=["a", "b", "c"], attr_ids=["x"],
+                            labels=[0, 1, 0])
+        assert isinstance(g.labels, np.ndarray) and g.c == 2
+        assert np.array_equal(dataclasses.replace(g, labels=[1, 0, 2]).labels,
+                              [1, 0, 2])
+
+    def test_empty_graph_rejected(self):
+        A, R, labels = _path()
+        g = AttributedGraph.from_dense(A, R, labels=labels)
+        empty = dict(adjacency=sparse.csr_array((0, 0)),
+                     attr_weights=sparse.csr_array((0, 0)), node_ids=[],
+                     attr_ids=[], labels=None)
+        builders = (lambda: AttributedGraph(**empty),
+                    lambda: AttributedGraph.from_dense(np.zeros((0, 0)),
+                                                       np.zeros((0, 0))),
+                    lambda: dataclasses.replace(g, **empty))
+        for build in builders:
+            with pytest.raises(ValueError, match="empty graph"):
+                build()
 
     def test_class_count_follows_labels(self):
         A, R, _ = _path()
@@ -350,8 +379,7 @@ class TestCanonicalForm:
             assert g.e == np.count_nonzero(A) // 2
             for got, expect in zip((view.row, view.col, view.data), before):
                 assert np.array_equal(got, expect)
-            lo, hi = sideinfo._modularity_range(
-                *sideinfo._modularity_parts(g))
+            lo, hi = sideinfo._modularity_range(g.adjacency)
             Q = oracles.modularity_matrix(A)
             assert (lo, hi) == (Q.min(), Q.max())
 

@@ -68,7 +68,7 @@ def _triangle(attrs=None):
 
 
 def _modularity_range(g):
-    return sideinfo._modularity_range(*sideinfo._modularity_parts(g))
+    return sideinfo._modularity_range(g.adjacency)
 
 
 class TestModularity:
@@ -229,22 +229,37 @@ class TestBuildSideInfo:
         stored = [getattr(side, f.name) for f in dataclasses.fields(side)]
         assert not any(isinstance(v, np.ndarray) for v in stored)
 
+    # SideInfo checks itself: a direct construction is rejected as
+    # build_side_info's is
+    constructors = (build_side_info, SideInfo)
+
+    def test_lambdas_stored_as_float_pair(self):
+        for make in self.constructors:
+            lambdas = make(_triangle(), [1, np.float32(0.5)]).lambdas
+            assert lambdas == (1.0, 0.5)
+            assert all(type(x) is float for x in lambdas)
+
     def test_negative_lambda_rejected(self):
-        for bad in (-1.0, np.nan, np.inf, -np.inf):
-            for lambdas in ((bad, 0.0), (1.0, bad)):
-                with pytest.raises(ValueError, match="lambdas"):
-                    build_side_info(_triangle(), lambdas=lambdas)
+        for make in self.constructors:
+            for bad in (-1.0, np.nan, np.inf, -np.inf):
+                for lambdas in ((bad, 0.0), (1.0, bad)):
+                    with pytest.raises(ValueError, match="lambdas"):
+                        make(_triangle(), lambdas)
 
     def test_two_weights_required(self):
-        with pytest.raises(ValueError):
-            build_side_info(_triangle(), lambdas=(1.0, 1.0, 1.0))
+        for make in self.constructors:
+            for lambdas in ((1.0, 1.0, 1.0), (1.0,), ()):
+                with pytest.raises(ValueError, match="two source weights"):
+                    make(_triangle(), lambdas)
 
     def test_edgeless_rejected(self):
         g = _graph(np.zeros((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError) as raised:
             sideinfo.NodeLaplacian(g, (1.0, 1.0))
-        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
-            build_side_info(g)
+        for make in self.constructors:
+            with pytest.raises(ValueError,
+                               match=re.escape(str(raised.value))):
+                make(g, (1.0, 1.0))
 
 
 def _variants(rng):

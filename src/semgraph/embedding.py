@@ -54,7 +54,7 @@ class WalkMatrix:
 
     `stored` is the matrix as built: a CSR array (sorted int32 indices,
     no stored zeros) when `factorize` is to run Lanczos on it, a dense
-    array otherwise.  The package reads `stored` only.  `matrix` is a
+    array otherwise.  The pipeline reads `stored` only.  `matrix` is a
     dense view for inspection: the stored array itself, or a fresh
     `toarray()` of the CSR, an N-by-N allocation on every access.
     """

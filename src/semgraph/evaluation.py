@@ -104,9 +104,12 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
 
     Empty clusters are repaired by stealing the point farthest from its
     center out of the currently largest cluster, so every restart returns
-    exactly k non-empty clusters.  A restart whose assignment still
-    changes after max_iter iterations keeps its last state; one warning
-    is logged with the count of such restarts.
+    exactly k non-empty clusters.  With fewer distinct points than k, the
+    repair can make two tied assignments alternate, so a restart also
+    settles when its assignment returns to the one before last.  A
+    restart whose assignment still changes after max_iter iterations
+    keeps its last state; one warning is logged with the count of such
+    restarts.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -126,6 +129,7 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
     centers = np.stack([_pp_centers(points, k, rng, sq_norms)
                         for _ in range(restarts)])
     assignment = np.empty((restarts, N), dtype=np.intp)
+    before = np.full((restarts, N), -1)  # each restart's previous assignment
     offsets = k * np.arange(restarts)[:, None]  # one label range per restart
     moving = np.arange(restarts)  # restarts whose assignment last changed
     for step in range(max_iter):
@@ -138,11 +142,13 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
         for i in np.flatnonzero((counts == 0).any(axis=1)):
             _repair_empty(new[i], counts[i], d2[:, i])
         if step:
-            changed = (new != assignment[moving]).any(axis=1)
+            changed = ((new != assignment[moving]).any(axis=1)
+                       & (new != before[moving]).any(axis=1))
             moving, new, counts = (moving[changed], new[changed],
                                    counts[changed])
             if not moving.size:
                 break
+            before[moving] = assignment[moving]
         assignment[moving] = new
         for r, row, count in zip(moving, new, counts):
             centers[r] = _member_means(points, row, count)

@@ -4,7 +4,8 @@ The combined graph places the original nodes and their attributes side by
 side as entities; its weighted adjacency has the original topology in the
 top-left block, normalized node-attribute relations off-diagonal, and
 normalized attribute-attribute similarity in the bottom-right block.  The
-relations blend the attribute weights with their two motif counts.
+relations blend the attribute weights with their two motif counts; both
+blocks, and the refinement's unit attribute rows, start from `_support`.
 """
 
 from __future__ import annotations
@@ -49,21 +50,16 @@ def attribute_similarity(attr_weights) -> np.ndarray:
 
     Columns are compared by cosine similarity, the resulting matrix is
     symmetrically scaled by its row sums, and the scaled matrix is mapped
-    onto [0, 1] with mnorm.  numpy forms the product of an array with its
-    own transpose by a symmetric rank-k update, so the Gram matrix is
-    exactly symmetric, and so is its scaling by outer(scale, scale).  The
-    one n-by-m array made holds the unit columns, divided in place.
+    onto [0, 1] with mnorm.  The cosine is the sparse Gram of the unit
+    columns, `_unit_rows` of the transposed weights; scipy sums its (i, j)
+    and (j, i) entries over the shared nodes in one ascending order, as
+    `_support` sorts the indices, so the Gram is exactly symmetric, and
+    so is its scaling by outer(scale, scale).
     """
-    cols = sparse.csr_array(attr_weights, dtype=float).toarray()
-    m = cols.shape[1]
-    if m == 0:
-        return np.zeros((0, 0))
-    norms = np.linalg.norm(cols, axis=0)
-    if np.any(norms == 0):
+    unit = _unit_rows(sparse.csr_array(attr_weights).T)
+    gram = (unit @ unit.T).toarray()
+    if np.any(gram.diagonal() == 0):
         raise ValueError("attribute column with zero norm")
-    cols /= norms
-    gram = cols.T @ cols
-    del cols  # freed before the scaling's m-by-m temporary is made
     scale = 1.0 / np.sqrt(gram.sum(axis=1))
     gram *= np.outer(scale, scale)
     return _mnorm_in_place(gram)
@@ -141,6 +137,16 @@ def _support(weights) -> sparse.csr_array:
     return R
 
 
+def _unit_rows(weights) -> sparse.csr_array:
+    """The `_support` of the weights with each row scaled to unit norm; a
+    row without a positive weight stays zero and stores nothing."""
+    unit = _support(weights)
+    norms = np.sqrt(np.ravel(unit.multiply(unit).sum(axis=1)))
+    norms[norms == 0] = 1.0
+    unit.data /= np.repeat(norms, np.diff(unit.indptr))
+    return unit
+
+
 @dataclass(frozen=True)
 class HeteroAdjacency:
     """Symmetric weighted adjacency B over n node and m attribute entities.
@@ -177,7 +183,7 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
     B is assembled once, as CSR, from the sparse adjacency, the sparse
     n-by-m relation block (built on the support of the attribute weights)
     and the dense m-by-m similarity block; it keeps the nonzeros of each
-    block.  The only dense arrays made are n-by-m and m-by-m, inside
+    block.  The only dense arrays made are m-by-m, inside
     `attribute_similarity`.
     """
     n, m = g.n, g.m

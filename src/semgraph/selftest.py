@@ -25,16 +25,22 @@ from .io import AttributedGraph
 from .sideinfo import SideInfo, _modularity_range, update_x
 
 
-def _check_walk(rng, rounds):
+def _check_walk(rng, rounds, dim=None):
+    """The walk against its oracle; with `dim` 1 on graphs of at least
+    LANCZOS_MIN_RATIO entities, the CSR form a Lanczos rank stores."""
     worst = 0.0
     for _ in range(rounds):
-        g = AttributedGraph.from_dense(*reference.random_connected_graph(rng))
-        hetero = build_hetero_adjacency(g)
+        A, W = reference.random_connected_graph(rng)
+        while dim and A.shape[0] + W.shape[1] < LANCZOS_MIN_RATIO:
+            A, W = reference.random_connected_graph(rng, max_n=30, max_m=8)
+        hetero = build_hetero_adjacency(AttributedGraph.from_dense(A, W))
         order = int(rng.integers(1, 5))
-        ours = walk_matrix(hetero, order=order, negatives=1).stored
+        walk = walk_matrix(hetero, order=order, negatives=1, dim=dim)
+        if dim and isinstance(walk.stored, np.ndarray):
+            return 1.0, 1e-10
         ref = reference.walk_oracle(hetero.matrix.toarray(), order, 1)
         scale = max(1.0, float(np.abs(ref).max()))
-        worst = max(worst, float(np.abs(ours - ref).max()) / scale)
+        worst = max(worst, float(np.abs(walk.matrix - ref).max()) / scale)
     return worst, 1e-10
 
 
@@ -109,8 +115,8 @@ def _check_refinement(rng, rounds):
         X = rng.normal(size=(g.n, 3))
         worst = max(worst, float(np.linalg.norm(L @ X - dense @ X))
                     / (scale * float(np.linalg.norm(X))))
-        Z = rng.normal(size=(side.size, side.size))
-        Y = rng.normal(size=(side.size, 3))
+        Z = rng.normal(size=(g.n + g.m, g.n + g.m))
+        Y = rng.normal(size=(g.n + g.m, 3))
         left = Z @ Y
         left[:g.n] = np.linalg.solve(np.eye(g.n) + dense, left[:g.n])
         expect = np.linalg.solve(Y.T @ Y + np.eye(3), left.T).T
@@ -147,6 +153,7 @@ def _check_metrics(rng, rounds):
 
 _SUITES = (
     ("walk-matrix vs dense oracle", _check_walk, 200),
+    ("CSR walk vs dense oracle", lambda r, n: _check_walk(r, n, dim=1), 100),
     ("motif counts vs enumeration", _check_motifs, 200),
     ("factorization tail norms", _check_factorization, 40),
     ("refinement operator and solve vs dense LU", _check_refinement, 100),

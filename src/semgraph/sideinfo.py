@@ -18,6 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .embedding import EmbeddingModel, WalkMatrix
+from .hetero import _unit_rows
 from .io import AttributedGraph
 
 log = logging.getLogger(__name__)
@@ -46,11 +47,11 @@ class SideInfo:
     Nothing n-by-n is stored.  `node_laplacian` is the weighted sum of
     the two sources' Laplacians as a `NodeLaplacian` operator, made from
     the graph on each access; it is the `L` of `update_x` and
-    `objective_value`, which read it as zero on the `size` - n attribute
-    rows.  `semgraph.reference` holds the dense sources it is checked
-    against.  Construction checks that there are exactly two finite,
-    nonnegative lambdas, stored as floats, and that the graph has an
-    edge, which modularity needs; it raises ValueError otherwise.
+    `objective_value`, which read it as zero on the attribute rows past
+    the n nodes.  `semgraph.reference` holds the dense sources it is
+    checked against.  Construction checks that there are exactly two
+    finite, nonnegative lambdas, stored as floats, and that the graph has
+    an edge, which modularity needs; it raises ValueError otherwise.
     """
 
     graph: AttributedGraph
@@ -64,10 +65,6 @@ class SideInfo:
             raise ValueError(f"lambdas must be finite and non-negative: {lam}")
         _require_edges(self.graph)
         object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def size(self) -> int:
-        return self.graph.n + self.graph.m
 
     @property
     def node_laplacian(self) -> NodeLaplacian:
@@ -161,17 +158,6 @@ class NodeLaplacian:
 
 def _row_sums(M) -> np.ndarray:
     return np.ravel(M.sum(axis=1))
-
-
-def _unit_rows(weights) -> sparse.csr_array:
-    """The attribute rows scaled to unit norm; a row without a positive
-    weight stays zero and stores nothing."""
-    unit = sparse.csr_array(weights, dtype=float, copy=True)
-    unit.eliminate_zeros()
-    norms = np.sqrt(_row_sums(unit.multiply(unit)))
-    norms[norms == 0] = 1.0
-    unit.data /= np.repeat(norms, np.diff(unit.indptr))
-    return unit
 
 
 def _modularity_range(adjacency: sparse.csr_array):
@@ -377,15 +363,16 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
     (I + L) X (Y^T Y + I_k) = Z Y, not the stationarity condition
     X Y^T Y + L X = Z Y of ||Z - X Y^T||_F^2 + tr(X_n^T L X_n).  Z is
     read in the walk's stored form; a CSR one is never made dense whole,
-    and no n-by-n array is made.
+    and no n-by-n array is made.  The side info's graph must have the
+    model's n nodes, and may have attributes the model's build dropped.
     """
     size = model.vectors.shape[0]
     Z = walk.stored
     if Z.shape[0] != size:
         raise ValueError("walk matrix and model sizes disagree")
-    if side.size != size:
+    if side.graph.n != model.n:
         raise ValueError(
-            f"side info covers {side.size} entities, model has {size}")
+            f"side info covers {side.graph.n} nodes, model has {model.n}")
     X, Y = model.vectors, model.context
     L = side.node_laplacian
     log.info("refinement start: objective %.6e", objective_value(Z, X, Y, L))

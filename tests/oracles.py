@@ -31,8 +31,8 @@ from semgraph.reference import (  # noqa: F401  (re-exported oracles)
 def symmetry_cases():
     """Attribute matrices, by name, for the exact-symmetry checks of
     `attribute_similarity` and the attribute cosine: small edge shapes, a
-    Fortran-ordered array, and Gram products large enough for blocked
-    BLAS kernels."""
+    Fortran-ordered array, Gram products large enough for blocked BLAS
+    kernels, and weights with every entry positive."""
     rng = np.random.default_rng(12)
     weights = rng.uniform(0.1, 5.0, (300, 40)) * (rng.random((300, 40)) < 0.2)
     weights[0, weights.sum(axis=0) == 0] = 1.0  # no zero-norm column
@@ -43,7 +43,8 @@ def symmetry_cases():
             "one node": rng.random((1, 6)) + 0.1,
             "fortran order": np.asfortranarray(weights),
             "non-binary weights": weights,
-            "node without attributes": bare}
+            "node without attributes": bare,
+            "full support": rng.uniform(0.1, 1.0, (6, 4))}
 
 
 def stored_twice(A):
@@ -188,9 +189,10 @@ def _sqdist(points, centers, sq_norms):
 def kmeans_per_restart(points, k, seed, restarts=10, max_iter=300):
     """`semgraph.kmeans` one restart at a time, as it was written before
     the restarts were batched: seeding and Lloyd alternate per restart,
-    and each center is the mean of its members.  Returns the best
-    restart's (assignment, centers, inertia) and the count of restarts
-    that stopped at max_iter, which the package logs instead."""
+    each center is the mean of its members, and a restart settles when
+    its assignment repeats the last one or the one before.  Returns the
+    best restart's (assignment, centers, inertia) and the count of
+    restarts that stopped at max_iter, which the package logs instead."""
     points = np.asarray(points, dtype=float)
     N = points.shape[0]
     sq_norms = (points ** 2).sum(axis=1)
@@ -199,7 +201,7 @@ def kmeans_per_restart(points, k, seed, restarts=10, max_iter=300):
     unconverged = 0
     for _ in range(restarts):
         centers = _pp_centers(points, k, rng)
-        assignment = None
+        assignment = previous = None
         for _ in range(max_iter):
             d2 = _sqdist(points, centers, sq_norms)
             new_assignment = np.argmin(d2, axis=1)
@@ -212,10 +214,12 @@ def kmeans_per_restart(points, k, seed, restarts=10, max_iter=300):
                 new_assignment[victim] = empty
                 counts[big] -= 1
                 counts[empty] += 1
-            if assignment is not None and np.array_equal(new_assignment,
-                                                         assignment):
+            # settled: the assignment repeats the last one or the one
+            # before, and would only cycle from here
+            if any(a is not None and np.array_equal(new_assignment, a)
+                   for a in (assignment, previous)):
                 break
-            assignment = new_assignment
+            previous, assignment = assignment, new_assignment
             for j in range(k):
                 centers[j] = points[assignment == j].mean(axis=0)
         else:

@@ -113,7 +113,6 @@ class TestCriterion04StructuralIdentities:
             similarity = hetero.matrix[n:, n:]
             worst_sym = max(worst_sym, float(np.abs(
                 similarity - similarity.T).max()))
-            side = build_side_info(g, lambdas=(1.0, 1.0))
             q_norm = reference.mnorm(reference.modularity_matrix(A))
             s_norm = reference.mnorm(reference.attribute_cosine(R0))
             worst_sym = max(worst_sym,
@@ -131,7 +130,7 @@ class TestCriterion04StructuralIdentities:
                 worst_kernel = max(worst_kernel,
                                    float(np.linalg.norm(L @ ones)))
             # the penalties act on node rows only
-            X = rng.normal(size=(side.size, 3))[:g.n]
+            X = rng.normal(size=(g.n + g.m, 3))[:g.n]
             for T in (q_norm, s_norm):
                 worst_pair = max(worst_pair, abs(
                     reference.regularization_value(X, T)

@@ -164,6 +164,28 @@ class TestEnhance:
             assert out.read_bytes() == ref.read_bytes()
             assert not np.array_equal(model.vectors, plain)
 
+    def test_refines_after_attribute_entities_dropped(self, tmp_path,
+                                                      capsys):
+        """All-zero deltas and one attribute: the build drops the
+        attribute entity, which the side info's graph still has; the
+        refinement acts on the node rows, so it runs."""
+        paths = {name: tmp_path / f"{name}.tsv"
+                 for name in ("edges", "attrs", "labels")}
+        _write(paths["edges"], ["a\tb", "b\tc", "c\td", "d\ta", "a\tc"])
+        _write(paths["attrs"], ["a\tx", "b\tx"])
+        _write(paths["labels"], ["a\t0", "b\t0", "c\t1", "d\t1"])
+        flags = ["--dim", "2", "--delta0", "0", "--delta1", "0",
+                 "--delta2", "0"]
+        out = tmp_path / "e.tsv"
+        assert main(["enhance", *_base_argv(paths, labels=False), *flags,
+                     "--out", str(out)]) == 0
+        emb = read_embeddings(str(out))
+        assert emb.node_ids == ["a", "b", "c", "d"] and not emb.attr_ids
+        assert main(["eval-cluster", *_base_argv(paths), *flags,
+                     "--repeats", "2", "--lambda1", "1",
+                     "--lambda2", "1"]) == 0
+        assert "error" not in capsys.readouterr().err
+
 
 class TestEval:
     def test_cluster_stdout_and_records(self, dataset, capsys):

@@ -52,6 +52,16 @@ class TestKmeans:
         assert np.array_equal(np.unique(capped.assignment), np.arange(4))
         assert capped.inertia >= full.inertia
 
+    def test_fewer_distinct_points_than_k_settles(self, caplog):
+        # the empty-cluster repair made two tied assignments alternate
+        # until max_iter
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(3, 4))[rng.integers(0, 3, size=30)]
+        with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
+            cl = kmeans(pts, 5, seed=0)
+        assert not caplog.records
+        assert np.array_equal(np.unique(cl.assignment), np.arange(5))
+
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(30, 2))
@@ -136,6 +146,15 @@ class TestKmeansMatchesPerRestart:
         cl, _ = self._check(pts, 5, seed)
         assert repairs
         assert np.array_equal(np.unique(cl.assignment), np.arange(5))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_alternating_assignments_settle(self, seed):
+        """Fewer distinct points than clusters, drawn from a normal: the
+        repair makes two tied assignments alternate, and both settle."""
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(3, 4))[rng.integers(0, 3, size=30)]
+        _, unconverged = self._check(pts, 5, seed)
+        assert not unconverged
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_cluster_and_one_per_point(self, seed):

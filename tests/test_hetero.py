@@ -9,7 +9,7 @@ import oracles
 from semgraph import (AttributedGraph, attribute_similarity,
                       build_hetero_adjacency, motif_relations,
                       planted_attributed_sbm)
-from semgraph.hetero import _mnorm_in_place
+from semgraph.hetero import _mnorm_in_place, _unit_rows
 
 
 def mnorm(M):
@@ -76,6 +76,35 @@ class TestAttributeSimilarity:
         # no symmetrizing pass: the Gram product and its scaling are exact
         out = attribute_similarity(oracles.symmetry_cases()[case])
         assert np.array_equal(out, out.T)
+
+    @pytest.mark.parametrize("case", sorted(oracles.symmetry_cases()))
+    def test_sparse_gram_matches_dense_cosine(self, case):
+        """The Gram of the sparse unit columns is the dense cosine to
+        1e-15, and the similarity stays exactly symmetric when the
+        input's rows store their entries unsorted and twice."""
+        W = oracles.symmetry_cases()[case]
+        cosine = oracles.attribute_cosine(W.T)
+        for given in (W, oracles.stored_twice(W)):
+            unit = _unit_rows(sparse.csr_array(given).T)
+            assert np.abs((unit @ unit.T).toarray() - cosine).max() <= 1e-15
+            out = attribute_similarity(given)
+            assert np.array_equal(out, out.T)
+            assert np.allclose(out, oracles.similarity_oracle(W),
+                               rtol=0.0, atol=1e-12)
+
+    def test_no_attributes(self):
+        for empty in (np.zeros((5, 0)), sparse.csr_array((5, 0))):
+            assert attribute_similarity(empty).shape == (0, 0)
+
+    def test_stored_zero_column_rejected(self):
+        W = sparse.csr_array((np.array([1.0, 0.0]), np.array([0, 1]),
+                              np.array([0, 2, 2])), shape=(2, 2))
+        with pytest.raises(ValueError, match="zero norm"):
+            attribute_similarity(W)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            attribute_similarity(np.array([[1.0, -1.0], [1.0, 1.0]]))
 
 
 class TestMotifRelations:

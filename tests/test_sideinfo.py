@@ -160,10 +160,11 @@ class TestBuildSideInfo:
         side = build_side_info(g, lambdas=(1.0, 0.0))
         L = side.node_laplacian
         assert _matches_reference(L, side, np.eye(g.n))
-        assert L.shape == (g.n, g.n) and side.size == g.n + g.m and g.m > 0
+        assert L.shape == (g.n, g.n) and g.m > 0
         rng = np.random.default_rng(3)
-        Z = rng.normal(size=(side.size, side.size))
-        Y = rng.normal(size=(side.size, 2))
+        size = g.n + g.m
+        Z = rng.normal(size=(size, size))
+        Y = rng.normal(size=(size, 2))
         attrs = (Z @ Y)[g.n:] @ np.linalg.inv(Y.T @ Y + np.eye(2))
         assert np.abs(update_x(Z, Y, L)[g.n:] - attrs).max() <= 1e-12
 
@@ -193,10 +194,11 @@ class TestBuildSideInfo:
         L = side.node_laplacian
         dense = _dense_laplacian(side)
         assert _matches_reference(L, side, np.eye(g.n))
-        padded = np.zeros((side.size, side.size))
+        size = g.n + g.m
+        padded = np.zeros((size, size))
         padded[:g.n, :g.n] = dense
-        Z = rng.normal(size=(side.size, side.size))
-        Y = rng.normal(size=(side.size, 3))
+        Z = rng.normal(size=(size, size))
+        Y = rng.normal(size=(size, 3))
         assert (np.abs(update_x(Z, Y, L) - update_x(Z, Y, padded)).max()
                 <= 1e-12)
 
@@ -350,8 +352,9 @@ class TestNodeLaplacian:
         for _ in range(5):
             for name, g in _variants(rng).items():
                 side = SideInfo(g, tuple(rng.uniform(0, 3, size=2)))
-                Z = rng.normal(size=(side.size, side.size))
-                Y = rng.normal(size=(side.size, 3))
+                size = g.n + g.m
+                Z = rng.normal(size=(size, size))
+                Y = rng.normal(size=(size, 3))
                 left = Z @ Y
                 left[:g.n] = np.linalg.solve(
                     np.eye(g.n) + _dense_laplacian(side), left[:g.n])
@@ -582,16 +585,25 @@ class TestSideEnhance:
         small = WalkMatrix(stored=np.eye(2), n=2)
         with pytest.raises(ValueError, match="sizes disagree"):
             side_enhance(model, small, side)
-        # a topology-only model+walk pair covers only the n nodes, while
-        # the side info built from g still covers all n+m entities
+        path = np.eye(g.n + 1, k=1) + np.eye(g.n + 1, k=-1)
+        longer = build_side_info(_graph(path, np.ones((g.n + 1, 1))))
+        with pytest.raises(ValueError, match="side info covers"):
+            side_enhance(model, walk, longer)
+
+    def test_model_without_attribute_entities_refined(self):
+        """A topology-only model+walk pair covers only the n nodes, while
+        the graph the side info is built from has m attributes too: the
+        penalties act on node rows only, so the round refines it."""
+        g, _, _, side = self._setup()
         from semgraph import build_hetero_adjacency, walk_matrix
         bare = dataclasses.replace(
             g, attr_weights=sparse.csr_array((g.n, 0)), attr_ids=[])
         walk_abl = walk_matrix(build_hetero_adjacency(bare))
         ablated = embed(bare, dim=2)
-        assert side.size == g.n + g.m and g.m > 0
-        with pytest.raises(ValueError, match="side info"):
-            side_enhance(ablated, walk_abl, side)
+        assert g.m > 0
+        out = side_enhance(ablated, walk_abl, side)
+        X = update_x(walk_abl.stored, ablated.context, side.node_laplacian)
+        assert np.array_equal(out.vectors, X)
 
     def test_csr_walk_matches_dense_walk(self):
         """At a Lanczos rank the walk is stored as CSR; the updates, the

@@ -4,10 +4,9 @@ Pipeline: an attributed graph becomes one weighted adjacency over nodes
 and attributes (`build_hetero_adjacency`: the topology, the attribute
 weights blended with their `motif_relations` counts, and the attributes'
 similarity), whose random-walk proximity matrix (`walk_matrix`) is
-symmetric and is factorized at rank k through
-its k eigenpairs of largest magnitude (`factorize`, or `embed` for the
-whole chain): by sparse Lanczos when k is a small fraction of its size,
-by a dense symmetric eigensolver otherwise.  `side_enhance` refines the
+symmetric, stored as CSR, and factorized at rank k through its k
+eigenpairs of largest magnitude by sparse Lanczos (`factorize`, or
+`embed` for the whole chain).  `side_enhance` refines the
 factors with modularity and attribute-similarity regularizers, whose
 node Laplacian L it applies as a sparse-plus-low-rank operator; it
 solves with I + L by preconditioned conjugate gradients and makes no

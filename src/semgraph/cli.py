@@ -143,16 +143,17 @@ def _load(args):
 def _model(args, g, refine=False):
     """Shared pipeline: combined graph, walk matrix, rank-k
     factorization, and with refine=True one refinement round against the
-    side information weighted by --lambda1 / --lambda2.  --dim is clamped
-    to the combined graph's size before the walk, which stores its matrix
-    in the form the factorization at that rank reads."""
+    side information weighted by --lambda1 / --lambda2.  A --dim below 1
+    is rejected before anything is built; one above the combined graph's
+    size is clamped to it."""
+    if args.dim < 1:
+        raise ValueError(f"dim must be >= 1, got {args.dim}")
     hetero = build_hetero_adjacency(
         g, deltas=(args.delta0, args.delta1, args.delta2),
         weighted_motifs=args.weighted_motifs, size_cap=args.size_cap)
     size = hetero.matrix.shape[0]
     dim = min(args.dim, size)
-    walk = walk_matrix(hetero, order=args.order, negatives=args.neg,
-                       dim=dim)
+    walk = walk_matrix(hetero, order=args.order, negatives=args.neg)
     del hetero  # B is not read past the walk
     if dim < args.dim:
         print(f"warning: dim {args.dim} clamped to the {size} available "

@@ -1,14 +1,13 @@
 """Random-walk proximity matrix and its truncated factorization.
 
 The walk matrix is built by propagating column blocks through the sparse
-transition matrix.  Each of its entries is computed once and written into
-both triangles, so it is exactly symmetric by construction, and its best
-rank-k factorization comes from the k eigenpairs of largest magnitude:
-thick-restart Lanczos, written with numpy, on its sparse form when k is
-a small fraction of its size, numpy's dense symmetric eigensolver
-otherwise.  The walk is stored in the form that solver reads: CSR for
-Lanczos, a dense array for the dense solver.  Neither solver loads
-scipy.linalg or its second OpenBLAS.
+transition matrix and stored as CSR.  Each of its entries is computed
+once and written into both triangles, so it is exactly symmetric by
+construction, and its best rank-k factorization comes from the k
+eigenpairs of largest magnitude: thick-restart Lanczos, written with
+numpy, on that CSR matrix.  Only those k pairs are computed, so no dense
+N-by-N array and no LAPACK workspace of that size is made, and
+scipy.linalg with its second OpenBLAS is never loaded.
 """
 
 from __future__ import annotations
@@ -21,16 +20,6 @@ from scipy import sparse
 from .hetero import DENSE_SIZE_CAP, HeteroAdjacency, build_hetero_adjacency
 from .io import AttributedGraph
 
-# `factorize` uses Lanczos when size >= LANCZOS_MIN_RATIO * dim, dense
-# `eigh` otherwise.  `eigh` costs ~size^3 and Lanczos ~size * dim^2 per
-# restart, so the crossover sits at a fixed size/dim.  On planted walks
-# of size 720-3000 (walk orders 4 and 10, 2 threads; grid in CHANGES.md),
-# `_lanczos_pairs` at size/dim 16 took 0.46x-0.58x the time of `eigh` at
-# size >= 1504, 0.82x-0.90x at 720, and 0.92x-1.33x at 1060; at 14 it
-# was 1.11x-1.56x at 1060, and at 5.6-11.5 up to 3.4x.  Below the ratio
-# `eigh` also adds ~4.5 size^2 doubles of LAPACK workspace.
-LANCZOS_MIN_RATIO = 16
-
 # Width of the column blocks `walk_matrix` propagates.  Z does not depend
 # on it.  On planted graphs of size 720-3000, widths 64 and 128 were
 # fastest and 16 or 512 up to 1.7x slower (grid in CHANGES.md); 64 keeps
@@ -42,24 +31,19 @@ WALK_BLOCK = 64
 LANCZOS_MAX_RESTARTS = 1000
 
 
-def _takes_lanczos(size: int, dim: int) -> bool:
-    """Whether `factorize` at rank `dim` runs Lanczos on a size-by-size Z."""
-    return size >= LANCZOS_MIN_RATIO * dim
-
-
 @dataclass(frozen=True)
 class WalkMatrix:
     """Log-transformed average of the first `order` walk-transition powers,
     exactly symmetric, over n nodes and m = size - n attributes.
 
-    `stored` is the matrix as built: a CSR array (sorted int32 indices,
-    no stored zeros) when `factorize` is to run Lanczos on it, a dense
-    array otherwise.  The pipeline reads `stored` only.  `matrix` is a
-    dense view for inspection: the stored array itself, or a fresh
-    `toarray()` of the CSR, an N-by-N allocation on every access.
+    `stored` is the matrix as `walk_matrix` builds it: a CSR array
+    (sorted int32 indices, no stored zeros).  The pipeline reads `stored`
+    only.  `matrix` is a dense copy for inspection and diagnostics, a
+    fresh N-by-N allocation on every access.  A caller may also wrap a
+    dense array; `factorize` converts it to CSR.
     """
 
-    stored: np.ndarray | sparse.csr_array
+    stored: sparse.csr_array | np.ndarray
     n: int
 
     @property
@@ -112,7 +96,7 @@ class EmbeddingModel:
 
 
 def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
-                negatives: int = 1, dim: int | None = None) -> WalkMatrix:
+                negatives: int = 1) -> WalkMatrix:
     """Build the proximity matrix factored by skip-gram style embeddings.
 
     Averages the first `order` powers of the degree-normalized adjacency,
@@ -124,30 +108,24 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     of it with each row divided by its degree.  The powers are propagated
     over column blocks of WALK_BLOCK columns: the first power of a block
     is its columns of the transition matrix made dense, and each later
-    power is the transition matrix times the previous one.  Each block is
-    rescaled, truncated and logged on its own.  The matrix M so computed
-    is symmetric in exact arithmetic only, so only its entries on and
-    below the diagonal, M[i, j] with i >= j, are kept, and entry (i, j)
-    of the result is M[max(i, j), min(i, j)]: exactly symmetric by
-    construction, as `factorize` requires.  Every entry goes through the
-    same operations whatever the block width, so the result does not
-    depend on it.
+    power is the transition matrix times the previous one.  The matrix M
+    so computed is symmetric in exact arithmetic only, so only its
+    entries on and below the diagonal, M[i, j] with i >= j, are kept, and
+    entry (i, j) of the result is M[max(i, j), min(i, j)]: exactly
+    symmetric by construction, as `factorize` requires.  A block starting
+    at column `start` therefore needs rows `start:` only of its last
+    power, and only those rows are computed, rescaled, truncated and
+    logged.  Each kept entry goes through the same operations whatever
+    the block width, so the result does not depend on it.
 
-    `dim` is the rank `factorize` will be asked for, at least 1; one
-    below is rejected before the walk is built.  When it is given
-    and `factorize` will run Lanczos at that rank, the result is stored
-    as CSR: each block adds the nonzeros of its columns on and below the
-    diagonal, transposed, as rows of the upper triangle, and the strict
-    upper triangle is mirrored once at the end.  Otherwise each block
-    writes both triangles of a dense array, the only N-by-N array made.
-    The two forms hold the same values.
+    The result is stored as CSR: each block adds the nonzeros of its
+    columns on and below the diagonal, transposed, as rows of the upper
+    triangle, and the strict upper triangle is mirrored once at the end.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if negatives < 1:
         raise ValueError("negatives must be >= 1")
-    if dim is not None and dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     transition = sparse.csr_array(hetero.matrix, copy=True)
     degrees = transition.sum(axis=1)
     if np.any(degrees <= 0):
@@ -157,41 +135,33 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     transition.data /= np.repeat(degrees, np.diff(transition.indptr))
     scale = volume / (order * negatives)
     size = transition.shape[0]
-    as_csr = dim is not None and _takes_lanczos(size, dim)
-    Z = None if as_csr else np.empty((size, size))
     upper_rows = []  # CSR pieces of the upper triangle, one per block
     for start in range(0, size, WALK_BLOCK):
         cols = slice(start, start + WALK_BLOCK)
         acc = transition[:, cols].toarray()
         power = acc  # read before acc is first updated
-        for _ in range(order - 1):
+        for _ in range(order - 2):
             power = transition @ power
             acc += power
+        acc = acc[start:]  # rows start: hold M[i, j] for i >= start
+        if order > 1:
+            acc += transition[start:] @ power
         acc *= scale
         acc /= degrees[None, cols]
         np.maximum(acc, 1.0, out=acc)
         np.log(acc, out=acc)
         width = acc.shape[1]
-        if as_csr:
-            # rows start: of acc hold M[i, j] for i >= start; drop i < j
-            acc[cols][np.triu_indices(width, 1)] = 0.0
-            piece = sparse.csr_array(acc[start:].T)  # columns from start
-            upper_rows.append(sparse.csr_array(
-                (piece.data, piece.indices + start, piece.indptr),
-                shape=(width, size)))
-        else:
-            Z[cols, start:] = acc[start:].T
-            Z[start:, cols] = acc[start:]
-            tile = Z[cols, cols]  # holds acc[cols]; mirror its lower triangle
-            upper = np.triu_indices(width, 1)
-            tile[upper] = tile.T[upper]
-    if as_csr:
-        # csr_array: `vstack` and `triu` return the older matrix types on
-        # scipy < 1.11.
-        triangle = sparse.csr_array(sparse.vstack(upper_rows, format="csr"))
-        del upper_rows  # freed before the mirror is made
-        # disjoint patterns: each entry of the sum is one stored value + 0
-        Z = sparse.csr_array(triangle + sparse.triu(triangle, k=1).T)
+        acc[:width][np.triu_indices(width, 1)] = 0.0  # drop i < j
+        piece = sparse.csr_array(acc.T)  # columns from start
+        upper_rows.append(sparse.csr_array(
+            (piece.data, piece.indices + start, piece.indptr),
+            shape=(width, size)))
+    # csr_array: `vstack` and `triu` return the older matrix types on
+    # scipy < 1.11.
+    triangle = sparse.csr_array(sparse.vstack(upper_rows, format="csr"))
+    del upper_rows  # freed before the mirror is made
+    # disjoint patterns: each entry of the sum is one stored value + 0
+    Z = sparse.csr_array(triangle + sparse.triu(triangle, k=1).T)
     return WalkMatrix(stored=Z, n=hetero.n)
 
 
@@ -200,36 +170,25 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
 
     With Z = Q diag(lam) Q^T, the `dim` eigenpairs of largest |lam| give
     singular values |lam|, left vectors Q and right vectors Q * sign(lam).
-    When the matrix is at least LANCZOS_MIN_RATIO times larger than
-    `dim`, only those pairs are computed, by thick-restart Lanczos
-    (`_lanczos_pairs`, ARPACK's method and settings in numpy) on the
-    sparse (CSR) matrix from a fixed-seed start vector; otherwise dense
-    `eigh` computes all pairs.  Both give the same factors to rounding.
-    Each solver reads the walk's stored form
-    when it is the one it needs (the form `walk_matrix` builds for this
-    `dim`); any other form is converted.  Both factors are scaled by the
-    square root of the kept singular values; the right one is the left
-    one times sign(lam).  Column signs make positive the first entry of
-    each left column within 1e-9 relative of its largest magnitude, so
-    entries tied in magnitude (structurally symmetric entities) cannot
-    flip a column under rounding.  `eigh` reads only one triangle, so a
-    matrix that is not exactly symmetric is rejected; a CSR one is
-    compared with its transpose in canonical form.
+    Only those pairs are computed, by thick-restart Lanczos
+    (`_lanczos_pairs`, ARPACK's method and settings in numpy) on the CSR
+    matrix from a fixed-seed start vector.  The walk's stored CSR is read
+    as it is; a dense one is converted to CSR once.  Both factors are
+    scaled by the square root of the singular values; the right one is
+    the left one times sign(lam).  Column signs make positive the first
+    entry of each left column within 1e-9 relative of its largest
+    magnitude, so entries tied in magnitude (structurally symmetric
+    entities) cannot flip a column under rounding.  Lanczos assumes
+    symmetry, so a matrix that is not exactly symmetric is rejected: Z
+    is compared with its transpose in canonical CSR form.
     """
-    Z = walk.stored
+    Z = sparse.csr_array(walk.stored)
     size = Z.shape[0]
     if not 1 <= dim <= size:
         raise ValueError(f"dim must be in [1, {size}], got {dim}")
-    symmetric = (_csr_symmetric(Z) if sparse.issparse(Z)
-                 else np.array_equal(Z, Z.T))
-    if not symmetric:
+    if not _csr_symmetric(Z):
         raise ValueError("walk matrix must be exactly symmetric")
-    if _takes_lanczos(size, dim):
-        lam, Q = _lanczos_pairs(sparse.csr_array(Z), dim)
-    else:
-        lam, Q = _dense_pairs(Z.toarray() if sparse.issparse(Z) else Z)
-    keep = np.argsort(-np.abs(lam), kind="stable")[:dim]
-    lam, U = lam[keep], Q[:, keep]
+    lam, U = _lanczos_pairs(Z, dim)  # in order of decreasing |lam|
 
     magnitude = np.abs(U)
     near_max = magnitude >= (1.0 - 1e-9) * magnitude.max(axis=0)
@@ -259,14 +218,6 @@ def _csr_symmetric(Z):
     return (np.array_equal(Z.indptr, T.indptr)
             and np.array_equal(Z.indices, T.indices)
             and np.array_equal(Z.data, T.data))
-
-
-def _dense_pairs(Z):
-    """All eigenpairs of the dense Z, by `eigh`."""
-    try:
-        return np.linalg.eigh(Z)
-    except np.linalg.LinAlgError as exc:
-        raise _not_converged(Z) from exc
 
 
 def _lanczos_pairs(Z, dim):
@@ -345,25 +296,27 @@ def _orthonormal_to(basis, x):
 
 
 def _not_converged(Z):
-    """The solver's error, with the norm and finiteness of Z read from its
-    stored values, dense or CSR."""
+    """The solver's error, with the norm and finiteness of the CSR Z read
+    from its stored values."""
     size = Z.shape[0]
-    values = Z.data if sparse.issparse(Z) else Z
     return np.linalg.LinAlgError(
         f"factorization failed to converge on a {size}x{size} matrix "
-        f"(norm {np.linalg.norm(values):.3e}, "
-        f"finite={np.all(np.isfinite(values))})")
+        f"(norm {np.linalg.norm(Z.data):.3e}, "
+        f"finite={np.all(np.isfinite(Z.data))})")
 
 
 def embed(g: AttributedGraph, dim: int = 64, order: int = 4,
           negatives: int = 1, deltas=(1.0, 1.0, 1.0),
           weighted_motifs: bool = False,
           size_cap: int = DENSE_SIZE_CAP) -> EmbeddingModel:
-    """Full pipeline: combined adjacency, walk matrix, factorization."""
+    """Full pipeline: combined adjacency, walk matrix, factorization.  A
+    `dim` below 1 is rejected before anything is built."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     hetero = build_hetero_adjacency(g, deltas=deltas,
                                     weighted_motifs=weighted_motifs,
                                     size_cap=size_cap)
-    walk = walk_matrix(hetero, order=order, negatives=negatives, dim=dim)
+    walk = walk_matrix(hetero, order=order, negatives=negatives)
     del hetero  # B is not read past the walk
     model = factorize(walk, dim)
     model.node_ids = list(g.node_ids)

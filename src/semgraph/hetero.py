@@ -19,6 +19,10 @@ from .io import AttributedGraph
 
 DENSE_SIZE_CAP = 20_000
 
+# Rows of an m-by-m similarity scaled, or of the refinement's sparse
+# Gram formed, at a time.
+_GRAM_BLOCK = 256
+
 
 def _mnorm_in_place(matrix: np.ndarray, lo=None) -> np.ndarray:
     """mnorm: rescale all entries jointly onto [0, 1] by the global min
@@ -54,14 +58,17 @@ def attribute_similarity(attr_weights) -> np.ndarray:
     columns, `_unit_rows` of the transposed weights; scipy sums its (i, j)
     and (j, i) entries over the shared nodes in one ascending order, as
     `_support` sorts the indices, so the Gram is exactly symmetric, and
-    so is its scaling by outer(scale, scale).
+    so is its scaling by outer(scale, scale), applied `_GRAM_BLOCK` rows
+    at a time: each entry is multiplied by the same product.
     """
     unit = _unit_rows(sparse.csr_array(attr_weights).T)
     gram = (unit @ unit.T).toarray()
     if np.any(gram.diagonal() == 0):
         raise ValueError("attribute column with zero norm")
     scale = 1.0 / np.sqrt(gram.sum(axis=1))
-    gram *= np.outer(scale, scale)
+    for begin in range(0, gram.shape[0], _GRAM_BLOCK):
+        rows = slice(begin, begin + _GRAM_BLOCK)
+        gram[rows] *= np.outer(scale[rows], scale)
     return _mnorm_in_place(gram)
 
 

@@ -18,26 +18,21 @@ import sys
 import numpy as np
 
 from . import reference
-from .embedding import LANCZOS_MIN_RATIO, WalkMatrix, factorize, walk_matrix
+from .embedding import WalkMatrix, factorize, walk_matrix
 from .evaluation import classify, clustering_accuracy, nmi, train_classifier
 from .hetero import build_hetero_adjacency, motif_relations
 from .io import AttributedGraph
 from .sideinfo import SideInfo, _modularity_range, update_x
 
 
-def _check_walk(rng, rounds, dim=None):
-    """The walk against its oracle; with `dim` 1 on graphs of at least
-    LANCZOS_MIN_RATIO entities, the CSR form a Lanczos rank stores."""
+def _check_walk(rng, rounds):
+    """The CSR walk against its dense oracle."""
     worst = 0.0
     for _ in range(rounds):
         A, W = reference.random_connected_graph(rng)
-        while dim and A.shape[0] + W.shape[1] < LANCZOS_MIN_RATIO:
-            A, W = reference.random_connected_graph(rng, max_n=30, max_m=8)
         hetero = build_hetero_adjacency(AttributedGraph.from_dense(A, W))
         order = int(rng.integers(1, 5))
-        walk = walk_matrix(hetero, order=order, negatives=1, dim=dim)
-        if dim and isinstance(walk.stored, np.ndarray):
-            return 1.0, 1e-10
+        walk = walk_matrix(hetero, order=order, negatives=1)
         ref = reference.walk_oracle(hetero.matrix.toarray(), order, 1)
         scale = max(1.0, float(np.abs(ref).max()))
         worst = max(worst, float(np.abs(walk.matrix - ref).max()) / scale)
@@ -61,10 +56,9 @@ def _check_motifs(rng, rounds):
 def _check_factorization(rng, rounds):
     """Eckart-Young tail norms on random symmetric matrices like the walk
     matrix; their singular values are the |eigenvalues|.  Every rank of
-    small matrices, which take the dense solver, then one rank of three
-    larger ones, which take the Lanczos solver: a mostly zero one, one
-    whose largest eigenvalues alternate in sign, and one of rank below
-    the rank asked for."""
+    small matrices, then rank 8 of three matrices of size 128: a mostly
+    zero one, one whose largest eigenvalues alternate in sign, and one of
+    rank below the rank asked for."""
     worst = 0.0
     for _ in range(rounds):
         size = int(rng.integers(2, 10))
@@ -72,8 +66,7 @@ def _check_factorization(rng, rounds):
         target = (Z + Z.T) / 2.0
         for k in range(1, size + 1):
             worst = max(worst, _tail_gap(target, k))
-    k = 8
-    size = LANCZOS_MIN_RATIO * k
+    k, size = 8, 128
     Z = rng.normal(size=(size, size)) * (rng.random((size, size)) < 0.15)
     Q = np.linalg.qr(rng.normal(size=(size, size)))[0]
     mixed = np.linspace(2.0, 1.0, size) * (-1.0) ** np.arange(size)
@@ -152,8 +145,7 @@ def _check_metrics(rng, rounds):
 
 
 _SUITES = (
-    ("walk-matrix vs dense oracle", _check_walk, 200),
-    ("CSR walk vs dense oracle", lambda r, n: _check_walk(r, n, dim=1), 100),
+    ("walk matrix vs dense oracle", _check_walk, 200),
     ("motif counts vs enumeration", _check_motifs, 200),
     ("factorization tail norms", _check_factorization, 40),
     ("refinement operator and solve vs dense LU", _check_refinement, 100),

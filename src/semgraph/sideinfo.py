@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .embedding import EmbeddingModel, WalkMatrix
-from .hetero import _unit_rows
+from .hetero import _GRAM_BLOCK, _unit_rows
 from .io import AttributedGraph
 
 log = logging.getLogger(__name__)
@@ -34,10 +34,6 @@ REFINE_MAX_ITERATIONS = 1000
 # Relative residual ||R_j|| / ||B_j|| at which a column of the
 # refinement solve stops.
 _CG_TOL = 1e-13
-
-# Rows of the sparse Gram formed at a time while looking for a node pair
-# that shares no attribute.
-_GRAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -232,16 +228,24 @@ def objective_value(Z, X: np.ndarray, Y: np.ndarray, L=None) -> float:
     `NodeLaplacian`, follows `update_x`: it may cover only the leading
     p <= size rows (the n nodes, for `SideInfo.node_laplacian`) and then
     stands for L padded with zeros.  The residual is formed 256 rows at a
-    time, in each block's own product buffer, with a CSR Z's rows made
-    dense one block at a time, so no size-by-size array is made.
+    time, in each block's own product buffer, into which a CSR Z's stored
+    entries of those rows are added, so no size-by-size array is made.
     """
     value = 0.0
-    for start in range(0, Z.shape[0], 256):
-        residual = X[start:start + 256] @ Y.T
-        rows = Z[start:start + 256]
-        if sparse.issparse(rows):
-            rows = rows.toarray()
-        np.subtract(rows, residual, out=residual)
+    size = Z.shape[0]
+    for start in range(0, size, 256):
+        stop = min(start + 256, size)
+        residual = X[start:stop] @ Y.T
+        if sparse.issparse(Z):  # -X Y^T + Z on Z's entries: Z - X Y^T
+            np.negative(residual, out=residual)
+            span = slice(Z.indptr[start], Z.indptr[stop])
+            at = np.repeat(np.arange(stop - start) * Z.shape[1],
+                           np.diff(Z.indptr[start:stop + 1]))
+            at += Z.indices[span]
+            np.add.at(residual.ravel(), at, Z.data[span])
+            del at
+        else:
+            np.subtract(Z[start:stop], residual, out=residual)
         value += float(np.vdot(residual, residual))
         del residual  # freed before the next block's product is made
     if L is not None:

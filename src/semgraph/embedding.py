@@ -36,20 +36,39 @@ class WalkMatrix:
     """Log-transformed average of the first `order` walk-transition powers,
     exactly symmetric, over n nodes and m = size - n attributes.
 
-    `stored` is the matrix as `walk_matrix` builds it: a CSR array
-    (sorted int32 indices, no stored zeros).  The pipeline reads `stored`
-    only.  `matrix` is a dense copy for inspection and diagnostics, a
-    fresh N-by-N allocation on every access.  A caller may also wrap a
-    dense array; `factorize` converts it to CSR.
+    `stored` is the matrix as a canonical CSR array: sorted indices, no
+    duplicate entries, no stored zeros.  Construction makes any other
+    input (dense, or sparse in another form) so on a copy, leaving the
+    caller's arrays untouched, and raises ValueError unless the matrix
+    is finite and equals its transpose entry for entry.  In canonical form a CSR
+    matrix has one representation, and so has its transpose converted to
+    CSR, so the two are compared by their index and value arrays.
+    `matrix` is a dense copy for inspection and diagnostics, a fresh
+    N-by-N allocation on every access.
     """
 
-    stored: sparse.csr_array | np.ndarray
+    stored: sparse.csr_array
     n: int
+
+    def __post_init__(self):
+        Z = self.stored
+        if not (isinstance(Z, sparse.csr_array) and Z.has_canonical_format
+                and np.count_nonzero(Z.data) == Z.data.size):
+            Z = sparse.csr_array(Z, copy=True)
+            Z.sum_duplicates()
+            Z.eliminate_zeros()
+            object.__setattr__(self, "stored", Z)
+        if not np.all(np.isfinite(Z.data)):  # NaN would read as asymmetric
+            raise ValueError("walk matrix contains non-finite entries")
+        T = Z.T.tocsr()
+        if not (np.array_equal(Z.indptr, T.indptr)
+                and np.array_equal(Z.indices, T.indices)
+                and np.array_equal(Z.data, T.data)):
+            raise ValueError("walk matrix must be exactly symmetric")
 
     @property
     def matrix(self) -> np.ndarray:
-        Z = self.stored
-        return Z.toarray() if sparse.issparse(Z) else Z
+        return self.stored.toarray()
 
     @property
     def m(self) -> int:
@@ -112,7 +131,7 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     so computed is symmetric in exact arithmetic only, so only its
     entries on and below the diagonal, M[i, j] with i >= j, are kept, and
     entry (i, j) of the result is M[max(i, j), min(i, j)]: exactly
-    symmetric by construction, as `factorize` requires.  A block starting
+    symmetric by construction, as `WalkMatrix` checks.  A block starting
     at column `start` therefore needs rows `start:` only of its last
     power, and only those rows are computed, rescaled, truncated and
     logged.  Each kept entry goes through the same operations whatever
@@ -171,23 +190,19 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     With Z = Q diag(lam) Q^T, the `dim` eigenpairs of largest |lam| give
     singular values |lam|, left vectors Q and right vectors Q * sign(lam).
     Only those pairs are computed, by thick-restart Lanczos
-    (`_lanczos_pairs`, ARPACK's method and settings in numpy) on the CSR
-    matrix from a fixed-seed start vector.  The walk's stored CSR is read
-    as it is; a dense one is converted to CSR once.  Both factors are
-    scaled by the square root of the singular values; the right one is
-    the left one times sign(lam).  Column signs make positive the first
+    (`_lanczos_pairs`, ARPACK's method and settings in numpy) on the
+    walk's CSR matrix from a fixed-seed start vector; Lanczos assumes
+    the exact symmetry the walk checked when it was made.  Both factors
+    are scaled by the square root of the singular values; the right one
+    is the left one times sign(lam).  Column signs make positive the first
     entry of each left column within 1e-9 relative of its largest
     magnitude, so entries tied in magnitude (structurally symmetric
-    entities) cannot flip a column under rounding.  Lanczos assumes
-    symmetry, so a matrix that is not exactly symmetric is rejected: Z
-    is compared with its transpose in canonical CSR form.
+    entities) cannot flip a column under rounding.
     """
-    Z = sparse.csr_array(walk.stored)
+    Z = walk.stored
     size = Z.shape[0]
     if not 1 <= dim <= size:
         raise ValueError(f"dim must be in [1, {size}], got {dim}")
-    if not _csr_symmetric(Z):
-        raise ValueError("walk matrix must be exactly symmetric")
     lam, U = _lanczos_pairs(Z, dim)  # in order of decreasing |lam|
 
     magnitude = np.abs(U)
@@ -198,26 +213,6 @@ def factorize(walk: WalkMatrix, dim: int) -> EmbeddingModel:
     vectors = U * np.sqrt(np.abs(lam))
     return EmbeddingModel(vectors=vectors, context=vectors * np.sign(lam),
                           n=walk.n)
-
-
-def _csr_symmetric(Z):
-    """Whether the sparse Z equals its transpose, entry for entry.
-
-    In canonical form (sorted indices, no duplicates, no stored zeros)
-    a CSR matrix has one representation, and the transpose converted
-    to CSR is canonical too, so the two are equal exactly when their
-    index and value arrays are.  A non-canonical Z is made canonical on
-    a copy first.
-    """
-    Z = sparse.csr_array(Z)
-    if not Z.has_canonical_format or np.count_nonzero(Z.data) < Z.data.size:
-        Z = Z.copy()
-        Z.sum_duplicates()
-        Z.eliminate_zeros()
-    T = Z.T.tocsr()
-    return (np.array_equal(Z.indptr, T.indptr)
-            and np.array_equal(Z.indices, T.indices)
-            and np.array_equal(Z.data, T.data))
 
 
 def _lanczos_pairs(Z, dim):

@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .embedding import EmbeddingModel
 from .io import AttributedGraph
@@ -72,22 +73,6 @@ def _repair_empty(assignment, counts, d2):
         counts[empty] += 1
 
 
-def _member_means(points, labels, counts):
-    """Row j is the mean of the points labeled j; counts[j] > 0 is their
-    number.  Each mean sums its members in index order, exactly as
-    points[labels == j].mean(axis=0) does."""
-    # a stable sort lines each label's members up in index order; numpy
-    # sorts small integer types by radix
-    small = labels.astype(np.min_scalar_type(counts.size))
-    members = points[np.argsort(small, kind="stable")]
-    sums = np.empty((counts.size, points.shape[1]))
-    start = 0
-    for label, end in enumerate(np.cumsum(counts).tolist()):
-        np.add.reduce(members[start:end], axis=0, out=sums[label])
-        start = end
-    return sums / counts[:, None]
-
-
 def kmeans(points, k: int, seed: int, restarts: int = 10,
            max_iter: int = 300) -> Clustering:
     """Lloyd's algorithm, ++ seeding, best of `restarts` by within-cluster SSQ.
@@ -96,11 +81,13 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
     draws nothing from it, so each restart starts from the centers it
     would get if the restarts ran one after another.  The restarts whose
     assignment still changes then iterate together, with one distance
-    product per iteration for all of them.  Each center is the mean of its
-    members, summed in index order, and each restart's final SSQ comes
-    from a product with its own k centers alone, so it does not depend on
-    how many restarts ran together.  The best restart is the first with
-    the least SSQ.
+    product per iteration for all of them, and one sparse product of
+    their one-hot memberships with the points for all their centers.
+    Each center is the mean of its members, summed in index order from
+    +0.0, so a coordinate that is -0.0 in every member averages to +0.0.
+    Each restart's final SSQ comes from a product with its own k centers
+    alone, so it does not depend on how many restarts ran together.  The
+    best restart is the first with the least SSQ.
 
     Empty clusters are repaired by stealing the point farthest from its
     center out of the currently largest cluster, so every restart returns
@@ -150,8 +137,14 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
                 break
             before[moving] = assignment[moving]
         assignment[moving] = new
-        for r, row, count in zip(moving, new, counts):
-            centers[r] = _member_means(points, row, count)
+        # row (restart, label) is one at that label's members, which the
+        # product sums in index order
+        m = moving.size
+        members = sparse.csr_array(
+            (np.ones(m * N), ((new + offsets[:m]).ravel(),
+                              np.tile(np.arange(N), m))), shape=(m * k, N))
+        sums = (members @ points).reshape(m, k, d)
+        centers[moving] = sums / counts[:, :, None]
     unconverged = moving.size
     # one product per restart: a batched product rounds differently, and
     # restarts that reach the same partition would break their tie anew

@@ -224,32 +224,31 @@ def _covered_rows(L, size: int) -> int:
 def objective_value(Z, X: np.ndarray, Y: np.ndarray, L=None) -> float:
     """||Z - X Y^T||_F^2 + tr(X_p^T L X_p), with X_p = X[:p].
 
-    Z is dense or CSR (a `WalkMatrix.stored`).  L, a dense array or a
-    `NodeLaplacian`, follows `update_x`: it may cover only the leading
-    p <= size rows (the n nodes, for `SideInfo.node_laplacian`) and then
-    stands for L padded with zeros.  The residual is formed 256 rows at a
-    time, in each block's own product buffer, into which a CSR Z's stored
-    entries of those rows are added, so no size-by-size array is made.
+    Z is read as a CSR array (a `WalkMatrix.stored` is one; anything else
+    is converted first).  L, a dense array or a `NodeLaplacian`, follows
+    `update_x`: it may cover only the leading p <= size rows (the n
+    nodes, for `SideInfo.node_laplacian`) and then stands for L padded
+    with zeros.  The residual is formed 256 rows at a time, in each
+    block's own product buffer, into which Z's stored entries of those
+    rows are added, so no size-by-size array is made.
     """
+    Z = sparse.csr_array(Z)
     value = 0.0
     size = Z.shape[0]
     for start in range(0, size, 256):
         stop = min(start + 256, size)
         residual = X[start:stop] @ Y.T
-        if sparse.issparse(Z):  # -X Y^T + Z on Z's entries: Z - X Y^T
-            np.negative(residual, out=residual)
-            span = slice(Z.indptr[start], Z.indptr[stop])
-            at = np.repeat(np.arange(stop - start) * Z.shape[1],
-                           np.diff(Z.indptr[start:stop + 1]))
-            at += Z.indices[span]
-            np.add.at(residual.ravel(), at, Z.data[span])
-            del at
-        else:
-            np.subtract(Z[start:stop], residual, out=residual)
+        np.negative(residual, out=residual)  # -X Y^T + Z: Z - X Y^T
+        span = slice(Z.indptr[start], Z.indptr[stop])
+        at = np.repeat(np.arange(stop - start) * Z.shape[1],
+                       np.diff(Z.indptr[start:stop + 1]))
+        at += Z.indices[span]
+        np.add.at(residual.ravel(), at, Z.data[span])
+        del at
         value += float(np.vdot(residual, residual))
         del residual  # freed before the next block's product is made
     if L is not None:
-        X_p = X[:_covered_rows(L, Z.shape[0])]
+        X_p = X[:_covered_rows(L, size)]
         value += float(np.sum(X_p * (L @ X_p)))  # tr(X_p^T L X_p)
     return value
 
@@ -258,9 +257,10 @@ def update_x(Z, Y: np.ndarray, L) -> np.ndarray:
     """Regularized update of the entity factor:
     X' = (I + L)^-1 Z Y (Y^T Y + I_k)^-1.
 
-    Z is dense or CSR (a `WalkMatrix.stored`); Z Y is a dense or a sparse
-    product accordingly.  L is a dense array or a `NodeLaplacian`: either
-    is read only through `L @ X`, `shape` and `diagonal()`.
+    Z is read as a CSR array (a `WalkMatrix.stored` is one; anything else
+    is converted first), so Z Y is a sparse product.  L is a dense array
+    or a `NodeLaplacian`: either is read only through `L @ X`, `shape`
+    and `diagonal()`.
 
     L is a Laplacian of non-negative weights, so I + L is symmetric
     positive definite, and `_solve_shifted` applies its inverse to the k
@@ -274,11 +274,12 @@ def update_x(Z, Y: np.ndarray, L) -> np.ndarray:
     identity block.  Only I_p + L is solved; rows p: of the first solve
     are just (Z Y)[p:].
     """
-    checked = (("Z", Z), ("Y", Y))
+    Z = sparse.csr_array(Z)
+    checked = (("Z", Z.data), ("Y", Y))
     if not isinstance(L, NodeLaplacian):  # that one is built finite
         checked += (("L", L),)
     for name, M in checked:
-        if not _finite(M):
+        if not np.all(np.isfinite(M)):
             raise ValueError(f"{name} contains non-finite entries")
     p = _covered_rows(L, Z.shape[0])
     k = Y.shape[1]
@@ -342,15 +343,11 @@ def _solve_shifted(L, B: np.ndarray) -> np.ndarray:
 
 def update_y(Z, X: np.ndarray) -> np.ndarray:
     """Exact least-squares context factor: Y' = Z^T X (X^T X)^+, with Z
-    dense or CSR."""
-    if not (_finite(Z) and _finite(X)):
+    read as a CSR array."""
+    Z = sparse.csr_array(Z)
+    if not (np.all(np.isfinite(Z.data)) and np.all(np.isfinite(X))):
         raise ValueError("non-finite entries")
     return Z.T @ X @ np.linalg.pinv(X.T @ X, rcond=_PINV_RCOND)
-
-
-def _finite(M) -> bool:
-    """Whether every entry of M, dense or sparse, is finite."""
-    return bool(np.all(np.isfinite(M.data if sparse.issparse(M) else M)))
 
 
 def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
@@ -366,8 +363,8 @@ def side_enhance(model: EmbeddingModel, walk: WalkMatrix,
     literal (I + L)^-1 Z Y (Y^T Y + I_k)^-1, whose X solves
     (I + L) X (Y^T Y + I_k) = Z Y, not the stationarity condition
     X Y^T Y + L X = Z Y of ||Z - X Y^T||_F^2 + tr(X_n^T L X_n).  Z is
-    read in the walk's stored form; a CSR one is never made dense whole,
-    and no n-by-n array is made.  The side info's graph must have the
+    read in the walk's stored CSR form, never made dense whole, and no
+    n-by-n array is made.  The side info's graph must have the
     model's n nodes, and may have attributes the model's build dropped.
     """
     size = model.vectors.shape[0]

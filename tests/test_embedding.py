@@ -133,6 +133,39 @@ class TestWalkMatrix:
         for k in (0, 3, 7):
             assert WalkMatrix(stored=Z, n=k).m == Z.shape[0] - k
 
+    def test_dense_input_stored_as_canonical_csr(self):
+        """A dense Z is stored as a canonical CSR array (sorted indices,
+        no duplicates, no stored zeros) made on a copy, and `matrix`
+        gives it back."""
+        Z = np.array([[2.0, 0.0, -1.0], [0.0, 0.0, 5.0], [-1.0, 5.0, 0.0]])
+        before = Z.copy()
+        walk = WalkMatrix(stored=Z, n=2)
+        stored = walk.stored
+        assert type(stored) is sparse.csr_array
+        assert stored.has_canonical_format
+        assert np.all(stored.data) and stored.nnz == np.count_nonzero(Z)
+        assert np.array_equal(walk.matrix, Z)
+        assert np.array_equal(Z, before)
+        assert not np.shares_memory(stored.data, Z)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected_as_such(self, value):
+        Z = np.ones((2, 2))
+        Z[0, 1] = Z[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            WalkMatrix(stored=Z, n=2)
+
+    def test_replace_checks_the_matrix_again(self):
+        walk = WalkMatrix(stored=np.eye(3), n=3)
+        skewed = np.eye(3)
+        skewed[0, 2] = 1.0
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            dataclasses.replace(walk, stored=skewed)
+        replaced = dataclasses.replace(walk, stored=sparse.coo_array(
+            np.ones((3, 3))))
+        assert type(replaced.stored) is sparse.csr_array
+        assert replaced.stored.nnz == 9
+
     def test_parameter_validation(self):
         B = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -353,7 +386,7 @@ class TestLanczosFactorize:
     def test_csr_walk_gives_the_dense_walks_factors(self):
         """The CSR walk goes to Lanczos as it is, and gives exactly the
         factors of the same walk wrapped as a dense array, which
-        `factorize` converts to CSR; their singular values are the
+        `WalkMatrix` converts to CSR; their singular values are the
         largest |eigenvalues| from `eigvalsh`."""
         g = planted_attributed_sbm(nodes=300, blocks=3, seed=0)
         walk = walk_matrix(build_hetero_adjacency(g))
@@ -448,8 +481,9 @@ class TestLanczosFactorize:
 
     def test_csr_symmetry_verdict_matches_entrywise_comparison(self):
         """On random small CSR arrays with unsorted indices, duplicates,
-        stored zeros and cancelling duplicates, symmetric or not, the
-        verdict is that of comparing Z with its transpose entry by entry."""
+        stored zeros and cancelling duplicates, symmetric or not,
+        `WalkMatrix` rejects Z exactly when comparing it with its
+        transpose entry by entry finds a difference."""
         rng = np.random.default_rng(30)
         verdicts = set()
         for _ in range(300):
@@ -471,7 +505,11 @@ class TestLanczosFactorize:
             expected = (Z != Z.T).nnz == 0
             dense = Z.toarray()
             assert expected == np.array_equal(dense, dense.T)
-            assert embedding._csr_symmetric(Z) == expected
+            if expected:
+                WalkMatrix(stored=Z, n=size)
+            else:
+                with pytest.raises(ValueError, match="exactly symmetric"):
+                    WalkMatrix(stored=Z, n=size)
             verdicts.add(expected)
         assert verdicts == {True, False}
 

@@ -69,6 +69,18 @@ class TestKmeans:
             cl = kmeans(pts, k, seed=k)
             assert np.array_equal(np.unique(cl.assignment), np.arange(k))
 
+    def test_all_negative_zero_coordinate_averages_to_positive_zero(self):
+        """Centers sum their members from +0.0, so a coordinate that is
+        -0.0 in every member averages to +0.0; each center is its
+        members' mean."""
+        pts = np.array([[-0.0, 0.0], [-0.0, 1.0], [-0.0, 10.0],
+                        [-0.0, 11.0]])
+        cl = kmeans(pts, 2, seed=0)
+        assert not np.signbit(cl.centers).any()
+        for j in range(2):
+            mean = pts[cl.assignment == j].mean(axis=0)
+            assert np.array_equal(cl.centers[j], mean)
+
     def test_validation(self):
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):

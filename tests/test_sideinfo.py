@@ -606,9 +606,9 @@ class TestSideEnhance:
         assert np.array_equal(out.vectors, X)
 
     def test_csr_walk_matches_dense_walk(self):
-        """The walk is stored as CSR; the updates, the objective and the
-        round read it as is and agree with the same walk wrapped as a
-        dense array to rounding."""
+        """The walk is stored as CSR, and the same walk wrapped as a dense
+        array is stored as the same CSR: the updates, the objective and
+        the round give bit-identical results on both."""
         from semgraph import (build_hetero_adjacency, factorize,
                               planted_attributed_sbm, walk_matrix)
         g = planted_attributed_sbm(nodes=200, blocks=4, seed=0)
@@ -619,17 +619,14 @@ class TestSideEnhance:
         side = build_side_info(g)
         L = side.node_laplacian
         Z, X, Y = walk.stored, model.vectors, model.context
-
-        def close(a, b):
-            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-
-        assert close(update_x(Z, Y, L), update_x(dense.stored, Y, L))
-        assert close(update_y(Z, X), update_y(dense.stored, X))
-        assert close(objective_value(Z, X, Y, L),
-                     objective_value(dense.stored, X, Y, L))
+        assert np.array_equal(update_x(Z, Y, L), update_x(walk.matrix, Y, L))
+        assert np.array_equal(update_y(Z, X), update_y(walk.matrix, X))
+        assert (objective_value(Z, X, Y, L)
+                == objective_value(walk.matrix, X, Y, L))
         a = side_enhance(model, walk, side)
         b = side_enhance(model, dense, side)
-        assert close(a.vectors, b.vectors) and close(a.context, b.context)
+        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a.context, b.context)
 
     def test_non_finite_csr_walk_rejected(self):
         Z = sparse.csr_array(np.array([[0.0, np.inf], [np.inf, 0.0]]))

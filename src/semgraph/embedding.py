@@ -224,9 +224,12 @@ def _lanczos_pairs(Z, dim):
     Ritz pair i taken as converged when its residual estimate
     |beta * s_i| is at most eps * max(|theta_i|, eps^(2/3)).  Each new
     vector is orthogonalized against the whole basis by classical
-    Gram-Schmidt, twice.  Each restart keeps the dim + min(nconv,
-    (NCV - dim) // 2) Ritz vectors of largest |theta|, nconv being how
-    many of the wanted ones have converged, and the residual direction.
+    Gram-Schmidt, twice.  Each restart keeps the residual direction and
+    the dim + min(nconv, (NCV - dim) // 2) Ritz vectors of largest
+    |theta|, nconv being how many of the wanted ones have converged,
+    extended by each next one whose error interval, |theta - lambda| <=
+    |beta * s_i|, overlaps the last one's, so that copies of one
+    eigenvalue stay together; one basis vector is always left free.
     When the basis spans an invariant subspace (beta negligible against
     |Z v|), the basis continues from a fresh random vector orthogonal to
     it, drawn from the start vector's generator.  Pairs come in order of
@@ -273,7 +276,14 @@ def _lanczos_pairs(Z, dim):
         nconv = int(np.count_nonzero(np.abs(coupling[:dim]) <= floor))
         if nconv == dim:
             return theta[:dim], V[:ncv].T @ S[:, :dim]
-        start = dim + min(nconv, (ncv - dim) // 2)
+        start = last = dim + min(nconv, (ncv - dim) // 2)
+        # a cut through copies of one eigenvalue can stall the solver:
+        # also keep each next Ritz value whose error interval
+        # (|theta - lambda| <= |coupling|) overlaps that of the last one
+        # kept above
+        while (start < ncv - 1 and abs(theta[last - 1] - theta[start])
+               <= abs(coupling[last - 1]) + abs(coupling[start])):
+            start += 1
         V[:start] = S[:, :start].T @ V[:ncv]
         V[start] = V[ncv]
         T[:] = 0.0

@@ -5,7 +5,8 @@ side as entities; its weighted adjacency has the original topology in the
 top-left block, normalized node-attribute relations off-diagonal, and
 normalized attribute-attribute similarity in the bottom-right block.  The
 relations blend the attribute weights with their two motif counts; both
-blocks, and the refinement's unit attribute rows, start from `_support`.
+blocks, and the refinement's unit attribute rows, start from `_support`,
+and both are mnorm-ed on their stored values: no dense array is made.
 """
 
 from __future__ import annotations
@@ -19,37 +20,30 @@ from .io import AttributedGraph
 
 DENSE_SIZE_CAP = 20_000
 
-# Rows of an m-by-m similarity scaled, or of the refinement's sparse
-# Gram formed, at a time.
-_GRAM_BLOCK = 256
 
+def _mnorm_in_place(values: np.ndarray, full: bool) -> np.ndarray:
+    """mnorm of a nonnegative matrix on its stored values: rescale them
+    jointly onto [0, 1] by the matrix's min and max, in place.
 
-def _mnorm_in_place(matrix: np.ndarray, lo=None) -> np.ndarray:
-    """mnorm: rescale all entries jointly onto [0, 1] by the global min
-    and max, overwriting and returning the float array given.
-
-    A constant matrix (max == min) maps to all zeros: a constant block
-    carries no relational signal.
-    `lo`, when given, is the minimum to use instead of the array's own:
-    0 when the array holds a nonnegative matrix's values on a pattern
-    that leaves some entry, a zero, out.
+    The minimum is the values' own when they cover every entry (`full`),
+    and otherwise 0, the entries left out.  A constant matrix (max ==
+    min) maps to all zeros: a constant block carries no signal.
     """
-    if matrix.size == 0:
-        return matrix
-    if not np.all(np.isfinite(matrix)):
+    if values.size == 0:
+        return values
+    if not np.all(np.isfinite(values)):
         raise ValueError("mnorm input must be finite")
-    if lo is None:
-        lo = matrix.min()
-    hi = matrix.max()
+    lo = values.min() if full else 0.0
+    hi = values.max()
     if hi == lo:
-        matrix.fill(0.0)
+        values.fill(0.0)
     else:
-        matrix -= lo
-        matrix /= hi - lo
-    return matrix
+        values -= lo
+        values /= hi - lo
+    return values
 
 
-def attribute_similarity(attr_weights) -> np.ndarray:
+def attribute_similarity(attr_weights) -> sparse.csr_array:
     """Normalized attribute-attribute similarity from shared node memberships.
 
     Columns are compared by cosine similarity, the resulting matrix is
@@ -58,18 +52,19 @@ def attribute_similarity(attr_weights) -> np.ndarray:
     columns, `_unit_rows` of the transposed weights; scipy sums its (i, j)
     and (j, i) entries over the shared nodes in one ascending order, as
     `_support` sorts the indices, so the Gram is exactly symmetric, and
-    so is its scaling by outer(scale, scale), applied `_GRAM_BLOCK` rows
-    at a time: each entry is multiplied by the same product.
+    so is its scaling: entry (i, j) is multiplied by scale[i] * scale[j].
+    All is done on the Gram's canonical CSR, without stored zeros.
     """
     unit = _unit_rows(sparse.csr_array(attr_weights).T)
-    gram = (unit @ unit.T).toarray()
-    if np.any(gram.diagonal() == 0):
+    sim = unit @ unit.T
+    sim.sum_duplicates()  # canonical: sorted indices
+    if np.any(sim.diagonal() == 0):
         raise ValueError("attribute column with zero norm")
-    scale = 1.0 / np.sqrt(gram.sum(axis=1))
-    for begin in range(0, gram.shape[0], _GRAM_BLOCK):
-        rows = slice(begin, begin + _GRAM_BLOCK)
-        gram[rows] *= np.outer(scale[rows], scale)
-    return _mnorm_in_place(gram)
+    scale = 1.0 / np.sqrt(sim.sum(axis=1))
+    sim.data *= np.repeat(scale, np.diff(sim.indptr)) * scale[sim.indices]
+    _mnorm_in_place(sim.data, sim.nnz == sim.shape[0] * sim.shape[1])
+    sim.eliminate_zeros()
+    return sim
 
 
 def motif_relations(attr_weights, weighted: bool = False):
@@ -120,15 +115,15 @@ def _relation_block(attr_weights, deltas, weighted: bool) -> sparse.csr_array:
         raise ValueError(f"need three finite nonnegative deltas: {deltas}")
     R0 = _support(attr_weights)
     counts = _motif_counts(R0, weighted)
-    lo = None if R0.nnz == R0.shape[0] * R0.shape[1] else 0.0
+    full = R0.nnz == R0.shape[0] * R0.shape[1]
     # the blend overwrites R0's values, which the counts have been read from
-    blend = _mnorm_in_place(R0.data, lo)
+    blend = _mnorm_in_place(R0.data, full)
     blend *= deltas[0]
     for d, part in zip(deltas[1:], counts):
-        _mnorm_in_place(part, lo)
+        _mnorm_in_place(part, full)
         part *= d
         blend += part
-    _mnorm_in_place(blend, lo)
+    _mnorm_in_place(blend, full)
     R0.eliminate_zeros()
     return R0
 
@@ -189,9 +184,8 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
 
     B is assembled once, as CSR, from the sparse adjacency, the sparse
     n-by-m relation block (built on the support of the attribute weights)
-    and the dense m-by-m similarity block; it keeps the nonzeros of each
-    block.  The only dense arrays made are m-by-m, inside
-    `attribute_similarity`.
+    and the sparse m-by-m similarity block (on the pairs of attributes
+    sharing a node); it keeps the nonzeros of each block.
     """
     n, m = g.n, g.m
     if n + m > size_cap:
@@ -200,7 +194,7 @@ def build_hetero_adjacency(g: AttributedGraph, deltas=(1.0, 1.0, 1.0),
             f"of {size_cap}; raise size_cap explicitly to proceed")
     sim = attribute_similarity(g.attr_weights)
     rel = _relation_block(g.attr_weights, deltas, weighted_motifs)
-    if not rel.nnz and not sim.any():
+    if not rel.nnz and not sim.nnz:
         # No attributes, or no weight on the attribute side (say, all-zero
         # deltas and a single attribute, whose 1-by-1 similarity block
         # mnorm zeroes): attribute entities are dropped, not left isolated.

@@ -4,13 +4,14 @@ against.
 
 Everything here trades speed for obviousness: walk proximity is assembled
 power by power from the definition, motif counts come from explicit
-instance enumeration, the refinement's similarity sources and their
-Laplacian are dense n-by-n arrays, the best matching of a table comes
-from trying every permutation, and random instances are drawn edge by
-edge.  The production code paths must agree with these on random inputs,
-so this module imports nothing from the rest of semgraph: a shared helper
-would let one bug pass both sides of the comparison.  Only `selftest`
-imports it; no pipeline module does.
+instance enumeration, the combined graph is a dense block layout whose
+similarity block is summed entry by entry, the refinement's similarity
+sources and their Laplacian are dense n-by-n arrays, the best matching
+of a table comes from trying every permutation, and random instances
+are drawn edge by edge.  The production code paths must agree with
+these on random inputs, so this module imports nothing from the rest
+of semgraph: a shared helper would let one bug pass both sides of the
+comparison.  Only `selftest` imports it; no pipeline module does.
 """
 
 from __future__ import annotations
@@ -68,6 +69,48 @@ def mnorm(M):
     if not M.size or M.max() == M.min():
         return np.zeros(M.shape)
     return (M - M.min()) / (M.max() - M.min())
+
+
+def similarity_oracle(R0):
+    """Column cosine -> symmetric degree scaling -> mnorm, by the book."""
+    R0 = np.asarray(R0, dtype=float)
+    m = R0.shape[1]
+    P0 = np.zeros((m, m))
+    for w in range(m):
+        for s in range(m):
+            nw = np.sqrt((R0[:, w] ** 2).sum())
+            ns = np.sqrt((R0[:, s] ** 2).sum())
+            P0[w, s] = (R0[:, w] * R0[:, s]).sum() / (nw * ns)
+    d = P0.sum(axis=1)
+    P = np.zeros((m, m))
+    for w in range(m):
+        for s in range(m):
+            P[w, s] = P0[w, s] / np.sqrt(d[w] * d[s])
+    return mnorm(P)
+
+
+def assemble_b(A, R0, deltas, weighted=False):
+    """Full block assembly of the combined graph from the definitions:
+    [[A, rel], [rel^T, sim]] with rel = mnorm(d0 mnorm(R0) + d1 mnorm(R1)
+    + d2 mnorm(R2)) and sim the `similarity_oracle`."""
+    A = np.asarray(A, dtype=float)
+    R0 = np.asarray(R0, dtype=float)
+    n, m = R0.shape
+    R1, R2 = motif_enumeration(R0)
+    if weighted:
+        R1 = R1 * R0
+        R2 = R2 * R0
+    combined = (deltas[0] * mnorm(R0)
+                + deltas[1] * mnorm(R1)
+                + deltas[2] * mnorm(R2))
+    Rt = mnorm(combined)
+    Pt = similarity_oracle(R0)
+    B = np.zeros((n + m, n + m))
+    B[:n, :n] = A
+    B[:n, n:] = Rt
+    B[n:, :n] = Rt.T
+    B[n:, n:] = Pt
+    return B
 
 
 def modularity_matrix(A):

@@ -6,9 +6,11 @@ instances, compares the production implementation with the literal one in
 The walk and motif suites draw their instances and their expected values,
 and the metric suite its optimal matchings, from the same `reference`
 oracles the test suite uses, so a deployed binary can be sanity-checked
-without a test harness present.  The refinement suite checks the
-structured node Laplacian and its conjugate-gradient solve against the
-dense Laplacian of `reference`'s sources and an LU solve.
+without a test harness present.  The combined-graph suite checks the
+sparse build against `reference`'s dense block assembly.  The
+refinement suite checks the structured node Laplacian and its
+conjugate-gradient solve against the dense Laplacian of `reference`'s
+sources and an LU solve.
 """
 
 from __future__ import annotations
@@ -23,6 +25,44 @@ from .evaluation import classify, clustering_accuracy, nmi, train_classifier
 from .hetero import build_hetero_adjacency, motif_relations
 from .io import AttributedGraph
 from .sideinfo import SideInfo, _modularity_range, update_x
+
+
+def _check_assembly(rng, rounds):
+    """The combined graph against `reference`'s dense block assembly, on
+    binary or weighted attributes, random deltas and either motif mode:
+    node rows and columns exactly, the similarity block to rounding.  Its
+    cosines and row sums are added in another order, and mnorm divides
+    that rounding by the block's spread, which is small for two
+    attributes carried in near-equal proportions by the same nodes.
+    Attribute entities whose blocks the oracle leaves all zero must be
+    dropped, and an entity left without relations rejected."""
+    tol = 1e-10
+    worst = 0.0
+    for _ in range(rounds):
+        A, W = reference.random_connected_graph(rng)
+        if rng.random() < 0.5:
+            W = W * rng.uniform(0.5, 3.0, size=W.shape)
+        deltas = tuple(rng.uniform(0.0, 2.0, size=3))
+        weighted = bool(rng.random() < 0.5)
+        n = A.shape[0]
+        expect = reference.assemble_b(A, W, deltas, weighted)
+        if not expect[n:].any():
+            expect = expect[:n, :n]
+        g = AttributedGraph.from_dense(A, W)
+        try:
+            B = build_hetero_adjacency(g, deltas=deltas,
+                                       weighted_motifs=weighted).matrix
+        except ValueError:
+            if expect.sum(axis=1).all():
+                return 1.0, tol
+            continue
+        B = B.toarray()
+        if (B.shape != expect.shape or not np.array_equal(B[:n], expect[:n])
+                or not np.array_equal(B[n:, :n], expect[n:, :n])):
+            return 1.0, tol
+        worst = max(worst, float(np.max(np.abs(B[n:, n:] - expect[n:, n:]),
+                                        initial=0.0)))
+    return worst, tol
 
 
 def _check_walk(rng, rounds):
@@ -145,6 +185,7 @@ def _check_metrics(rng, rounds):
 
 
 _SUITES = (
+    ("combined graph vs dense block assembly", _check_assembly, 200),
     ("walk matrix vs dense oracle", _check_walk, 200),
     ("motif counts vs enumeration", _check_motifs, 200),
     ("factorization tail norms", _check_factorization, 40),

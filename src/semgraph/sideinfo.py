@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .embedding import EmbeddingModel, WalkMatrix
-from .hetero import _GRAM_BLOCK, _unit_rows
+from .hetero import _unit_rows
 from .io import AttributedGraph
 
 log = logging.getLogger(__name__)
@@ -34,6 +34,9 @@ REFINE_MAX_ITERATIONS = 1000
 # Relative residual ||R_j|| / ||B_j|| at which a column of the
 # refinement solve stops.
 _CG_TOL = 1e-13
+
+# Rows of the cosine's sparse Gram, or of the objective's residual, at once.
+_GRAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -228,15 +231,15 @@ def objective_value(Z, X: np.ndarray, Y: np.ndarray, L=None) -> float:
     is converted first).  L, a dense array or a `NodeLaplacian`, follows
     `update_x`: it may cover only the leading p <= size rows (the n
     nodes, for `SideInfo.node_laplacian`) and then stands for L padded
-    with zeros.  The residual is formed 256 rows at a time, in each
-    block's own product buffer, into which Z's stored entries of those
-    rows are added, so no size-by-size array is made.
+    with zeros.  The residual is formed `_GRAM_BLOCK` rows at a time, in
+    each block's own product buffer, into which Z's stored entries of
+    those rows are added, so no size-by-size array is made.
     """
     Z = sparse.csr_array(Z)
     value = 0.0
     size = Z.shape[0]
-    for start in range(0, size, 256):
-        stop = min(start + 256, size)
+    for start in range(0, size, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, size)
         residual = X[start:stop] @ Y.T
         np.negative(residual, out=residual)  # -X Y^T + Z: Z - X Y^T
         span = slice(Z.indptr[start], Z.indptr[stop])

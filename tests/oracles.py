@@ -3,12 +3,13 @@
 Every computation is written from the definitions, the slow way, so
 agreement with the fast paths is meaningful.  The oracles that
 `semgraph selftest` also runs (`walk_oracle`, `motif_enumeration`,
-`max_matching_bruteforce`, `random_connected_graph`, and the dense
-refinement sources `mnorm`, `modularity_matrix`, `attribute_cosine` and
-`laplacian`) live once, in `semgraph.reference`, and are re-exported
-from there, with `regularization_value`, the dense penalty the
-objective's term is checked against.  That module imports nothing
-else from semgraph, and no pipeline module imports it
+`max_matching_bruteforce`, `random_connected_graph`, the dense block
+assembly of the combined graph `assemble_b` with its `similarity_oracle`,
+and the dense refinement sources `mnorm`, `modularity_matrix`,
+`attribute_cosine` and `laplacian`) live once, in `semgraph.reference`,
+and are re-exported from there, with `regularization_value`, the dense
+penalty the objective's term is checked against.  That module imports
+nothing else from semgraph, and no pipeline module imports it
 (`tests/test_reference.py` checks both), so it stays as independent of
 the fast paths as the code below.  `max_matching_lapjv` keeps scipy's
 solver as a second reference for tables too large to enumerate; nothing
@@ -21,9 +22,9 @@ import numpy as np
 from scipy import sparse
 
 from semgraph.reference import (  # noqa: F401  (re-exported oracles)
-    attribute_cosine, laplacian, max_matching_bruteforce, mnorm,
+    assemble_b, attribute_cosine, laplacian, max_matching_bruteforce, mnorm,
     modularity_matrix, motif_enumeration, random_connected_graph,
-    regularization_value, walk_oracle)
+    regularization_value, similarity_oracle, walk_oracle)
 
 
 # ---------------------------------------------------------- inputs
@@ -56,48 +57,6 @@ def stored_twice(A):
     values = np.concatenate([np.r_[0.25 * edges.data[r],
                                    0.75 * edges.data[r]] for r in rows])
     return sparse.csr_array((values, cols, 2 * edges.indptr), shape=A.shape)
-
-
-# ------------------------------------------------- auxiliary graph blocks
-
-def similarity_oracle(R0):
-    """Column cosine -> symmetric degree scaling -> mnorm, by the book."""
-    R0 = np.asarray(R0, dtype=float)
-    m = R0.shape[1]
-    P0 = np.zeros((m, m))
-    for w in range(m):
-        for s in range(m):
-            nw = np.sqrt((R0[:, w] ** 2).sum())
-            ns = np.sqrt((R0[:, s] ** 2).sum())
-            P0[w, s] = (R0[:, w] * R0[:, s]).sum() / (nw * ns)
-    d = P0.sum(axis=1)
-    P = np.zeros((m, m))
-    for w in range(m):
-        for s in range(m):
-            P[w, s] = P0[w, s] / np.sqrt(d[w] * d[s])
-    return mnorm(P)
-
-
-def assemble_b(A, R0, deltas, weighted=False):
-    """Full block assembly from the definitions."""
-    A = np.asarray(A, dtype=float)
-    R0 = np.asarray(R0, dtype=float)
-    n, m = R0.shape
-    R1, R2 = motif_enumeration(R0)
-    if weighted:
-        R1 = R1 * R0
-        R2 = R2 * R0
-    combined = (deltas[0] * mnorm(R0)
-                + deltas[1] * mnorm(R1)
-                + deltas[2] * mnorm(R2))
-    Rt = mnorm(combined)
-    Pt = similarity_oracle(R0)
-    B = np.zeros((n + m, n + m))
-    B[:n, :n] = A
-    B[:n, n:] = Rt
-    B[n:, :n] = Rt.T
-    B[n:, n:] = Pt
-    return B
 
 
 # ------------------------------------------------------------ side info

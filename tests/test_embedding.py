@@ -378,6 +378,22 @@ class TestLanczosFactorize:
             resid = np.linalg.norm(Z - model.vectors @ model.context.T)
             assert abs(resid - np.sqrt((s[k:] ** 2).sum())) <= 1e-8
 
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_rank_splitting_a_multiplet_meets_tail_norm(self, seed):
+        """The spectrum above at ranks that split the -7 triple (2, 3)
+        or the magnitude tie of 6, 6 and -6 (5, 6).  Rank 2 stalled when
+        a restart kept only some copies of -7; a restart now keeps the
+        Ritz values whose error intervals overlap the last kept one's."""
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(-3.0, 3.0, 128)
+        lam[:8] = [9.0, -7.0, -7.0, -7.0, 6.0, 6.0, -6.0, 4.0]
+        Z = _with_spectrum(rng, lam)
+        s = np.sort(np.abs(np.linalg.eigvalsh(Z)))[::-1]
+        for k in (2, 3, 5, 6):
+            model = factorize(_walk_of(Z), k)
+            resid = np.linalg.norm(Z - model.vectors @ model.context.T)
+            assert abs(resid - np.sqrt((s[k:] ** 2).sum())) <= 1e-8
+
     def test_zero_matrix(self):
         model = factorize(_walk_of(np.zeros((400, 400))), 8)
         assert model.vectors.shape == (400, 8)

@@ -13,8 +13,9 @@ from semgraph.hetero import _mnorm_in_place, _unit_rows
 
 
 def mnorm(M):
-    """The pipeline's mnorm on a float copy of M."""
-    return _mnorm_in_place(np.array(M, dtype=float))
+    """The pipeline's mnorm on a float copy of M, all of whose entries
+    are given."""
+    return _mnorm_in_place(np.array(M, dtype=float), full=True)
 
 
 class TestMnorm:
@@ -33,6 +34,14 @@ class TestMnorm:
         with pytest.raises(ValueError):
             mnorm(np.array([0.0, bad]))
 
+    def test_entries_left_out_are_zeros(self):
+        # a pattern that leaves an entry out has the minimum 0, whatever
+        # the least stored value
+        values = np.array([2.0, 3.0, 4.0])
+        assert _mnorm_in_place(values, full=False).tolist() == [0.5, 0.75,
+                                                                1.0]
+        assert np.all(_mnorm_in_place(np.zeros(3), full=False) == 0.0)
+
     def test_range_endpoints_on_random(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -45,15 +54,16 @@ class TestMnorm:
 class TestAttributeSimilarity:
     def test_identical_columns_degenerate(self):
         R0 = np.array([[1.0, 1.0], [2.0, 2.0]])
-        assert np.all(attribute_similarity(R0) == 0.0)
+        assert attribute_similarity(R0).nnz == 0
 
     def test_two_column_example(self):
         out = attribute_similarity(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert np.allclose(out, np.eye(2), atol=1e-12)
+        assert np.allclose(out.toarray(), np.eye(2), atol=1e-12)
 
     def test_orthogonal_columns_identity(self):
         R0 = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
-        assert np.allclose(attribute_similarity(R0), np.eye(2), atol=1e-12)
+        out = attribute_similarity(R0).toarray()
+        assert np.allclose(out, np.eye(2), atol=1e-12)
 
     def test_zero_norm_column_rejected(self):
         with pytest.raises(ValueError, match="zero norm"):
@@ -65,7 +75,7 @@ class TestAttributeSimilarity:
             R0 = rng.random((5, 4)) * (rng.random((5, 4)) < 0.7)
             if np.any(np.linalg.norm(R0, axis=0) == 0):
                 continue
-            out = attribute_similarity(R0)
+            out = attribute_similarity(R0).toarray()
             assert np.allclose(out, out.T, atol=1e-12)
             assert out.min() >= 0.0 and out.max() <= 1.0
             assert np.allclose(out, oracles.similarity_oracle(R0),
@@ -73,9 +83,12 @@ class TestAttributeSimilarity:
 
     @pytest.mark.parametrize("case", sorted(oracles.symmetry_cases()))
     def test_exactly_symmetric(self, case):
-        # no symmetrizing pass: the Gram product and its scaling are exact
+        # no symmetrizing pass: the Gram product and its scaling are
+        # exact; the block is canonical CSR, without stored zeros
         out = attribute_similarity(oracles.symmetry_cases()[case])
-        assert np.array_equal(out, out.T)
+        assert type(out) is sparse.csr_array and out.has_canonical_format
+        assert np.all(out.data != 0.0)
+        assert np.array_equal(out.toarray(), out.T.toarray())
 
     @pytest.mark.parametrize("case", sorted(oracles.symmetry_cases()))
     def test_sparse_gram_matches_dense_cosine(self, case):
@@ -87,7 +100,7 @@ class TestAttributeSimilarity:
         for given in (W, oracles.stored_twice(W)):
             unit = _unit_rows(sparse.csr_array(given).T)
             assert np.abs((unit @ unit.T).toarray() - cosine).max() <= 1e-15
-            out = attribute_similarity(given)
+            out = attribute_similarity(given).toarray()
             assert np.array_equal(out, out.T)
             assert np.allclose(out, oracles.similarity_oracle(W),
                                rtol=0.0, atol=1e-12)
@@ -209,7 +222,7 @@ def _dense_reference_b(g, deltas, weighted):
     for d, R in zip(deltas[1:], (R1, R2)):
         rel += oracles.mnorm(R) * d
     rel = oracles.mnorm(rel)
-    sim = attribute_similarity(R0)
+    sim = attribute_similarity(R0).toarray()
     if not rel.any() and not sim.any():
         rel, sim = rel[:, :0], sim[:0, :0]
     return sparse.csr_array(sparse.bmat([[g.adjacency, rel], [rel.T, sim]],
@@ -244,6 +257,21 @@ def _bit_identity_cases():
         "explicit zero weight": (explicit_zero, (1.0, 1.0, 1.0), False),
         "no attributes": (bare, (1.0, 1.0, 1.0), False),
     }
+
+
+def _assembly_cases():
+    """The bit-identity cases, each `symmetry_cases` attribute matrix on
+    a path over its nodes, and its single attribute also under all-zero
+    deltas: a constant similarity block and no relation weight."""
+    cases = _bit_identity_cases()
+    for name, W in oracles.symmetry_cases().items():
+        size = W.shape[0]
+        path = np.eye(size, k=1) + np.eye(size, k=-1)
+        cases[f"path, {name}"] = (AttributedGraph.from_dense(path, W),
+                                  (1.0, 1.0, 1.0), False)
+    cases["path, one attribute, all-zero deltas"] = (
+        cases["path, one attribute"][0], (0.0, 0.0, 0.0), False)
+    return cases
 
 
 @pytest.mark.parametrize("case", sorted(_bit_identity_cases()))
@@ -292,24 +320,38 @@ class TestBuildHeteroAdjacency:
             assert B[:n, n:].max() <= 1.0 and B[n:, n:].max() <= 1.0
 
     def test_csr_equals_dense_block_assembly(self):
-        # B is stored as CSR only; its entries are exactly those of the
-        # dense block layout [[A, rel], [rel^T, sim]], with no stored zeros
-        rng = np.random.default_rng(6)
-        graphs = [AttributedGraph.from_dense(
-            *oracles.random_connected_graph(rng)) for _ in range(10)]
-        graphs.append(planted_attributed_sbm(nodes=150, blocks=3, seed=6))
-        for g in graphs:
-            hetero = build_hetero_adjacency(g)
-            assert isinstance(hetero.matrix, sparse.csr_array)
-            if hetero.m == 0:
-                continue  # degenerate input collapsed to pure topology
-            R0 = g.attr_weights.toarray()
-            dense = oracles.assemble_b(g.adjacency.toarray(), R0,
-                                       (1.0, 1.0, 1.0))
-            # the oracle's loop-form similarity rounds differently
-            dense[g.n:, g.n:] = attribute_similarity(R0)
-            assert np.array_equal(hetero.matrix.toarray(), dense)
-            assert np.all(hetero.matrix.data != 0.0)
+        """B, stored as canonical CSR without stored zeros, against the
+        oracle's dense block layout [[A, rel], [rel^T, sim]] from the
+        definitions: the node rows and columns exactly, the similarity
+        block on the same pattern and to 8 ulp of 1 (its entries lie in
+        [0, 1]; they read up to 5.5), as its cosines and row sums are
+        added in another order.  Where the oracle's attribute blocks are
+        all zero the build drops the attribute entities, and where a row
+        of B would be zero it rejects the entity as isolated."""
+        for name, (g, deltas, weighted) in _assembly_cases().items():
+            n = g.n
+            expect = oracles.assemble_b(g.adjacency.toarray(),
+                                        g.attr_weights.toarray(), deltas,
+                                        weighted=weighted)
+            if not expect[n:].any():
+                expect = expect[:n, :n]
+            if not expect.sum(axis=1).all():
+                with pytest.raises(ValueError, match="isolated"):
+                    build_hetero_adjacency(g, deltas=deltas,
+                                           weighted_motifs=weighted)
+                continue
+            B = build_hetero_adjacency(g, deltas=deltas,
+                                       weighted_motifs=weighted).matrix
+            assert type(B) is sparse.csr_array, name
+            assert B.has_canonical_format and np.all(B.data != 0.0), name
+            dense = B.toarray()
+            assert dense.shape == expect.shape, name
+            assert np.array_equal(dense[:n], expect[:n]), name
+            assert np.array_equal(dense[n:, :n], expect[n:, :n]), name
+            sim, want = dense[n:, n:], expect[n:, n:]
+            assert np.array_equal(sim != 0.0, want != 0.0), name
+            gap = np.max(np.abs(sim - want), initial=0.0)
+            assert gap <= 8 * np.finfo(float).eps, name
 
     def test_matches_independent_assembly(self):
         rng = np.random.default_rng(4)

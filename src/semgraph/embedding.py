@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .hetero import DENSE_SIZE_CAP, HeteroAdjacency, build_hetero_adjacency
+from .hetero import HeteroAdjacency, build_hetero_adjacency
 from .io import AttributedGraph
 
 # Width of the column blocks `walk_matrix` propagates.  Z does not depend
@@ -139,7 +139,7 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
 
     The result is stored as CSR: each block adds the nonzeros of its
     columns on and below the diagonal, transposed, as rows of the upper
-    triangle, and the strict upper triangle is mirrored once at the end.
+    triangle U, and Z is made once at the end as the entrywise max(U, U^T).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -179,8 +179,10 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
     # scipy < 1.11.
     triangle = sparse.csr_array(sparse.vstack(upper_rows, format="csr"))
     del upper_rows  # freed before the mirror is made
-    # disjoint patterns: each entry of the sum is one stored value + 0
-    Z = sparse.csr_array(triangle + sparse.triu(triangle, k=1).T)
+    # exact: the two patterns meet only on the diagonal, with equal values
+    # there, and every stored value is log x > 0, above an unstored zero
+    Z = sparse.csr_array(triangle.maximum(triangle.T))
+    del triangle
     return WalkMatrix(stored=Z, n=hetero.n)
 
 
@@ -310,18 +312,15 @@ def _not_converged(Z):
         f"finite={np.all(np.isfinite(Z.data))})")
 
 
-def embed(g: AttributedGraph, dim: int = 64, order: int = 4,
-          negatives: int = 1, deltas=(1.0, 1.0, 1.0),
-          weighted_motifs: bool = False,
-          size_cap: int = DENSE_SIZE_CAP) -> EmbeddingModel:
-    """Full pipeline: combined adjacency, walk matrix, factorization.  A
-    `dim` below 1 is rejected before anything is built."""
+def embed(g: AttributedGraph, dim: int = 64,
+          order: int = 4) -> EmbeddingModel:
+    """Full pipeline: combined adjacency, walk matrix, factorization, each
+    with its defaults but for `dim` and `order` (the CLI's flags set all).
+    A `dim` below 1 is rejected before anything is built."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    hetero = build_hetero_adjacency(g, deltas=deltas,
-                                    weighted_motifs=weighted_motifs,
-                                    size_cap=size_cap)
-    walk = walk_matrix(hetero, order=order, negatives=negatives)
+    hetero = build_hetero_adjacency(g)
+    walk = walk_matrix(hetero, order=order)
     del hetero  # B is not read past the walk
     model = factorize(walk, dim)
     model.node_ids = list(g.node_ids)

@@ -24,6 +24,11 @@ log = logging.getLogger(__name__)
 # Ridge weight of the one-vs-rest classifier: `train_classifier`'s default
 # and the value `evaluate` trains with and reports.
 CLASSIFIER_L2 = 1e-4
+# Newton steps each of `train_classifier`'s one-vs-rest problems may take.
+CLASSIFIER_MAX_STEPS = 100
+
+# Lloyd iterations each `kmeans` restart may take.
+KMEANS_MAX_ITER = 300
 
 
 @dataclass
@@ -73,8 +78,7 @@ def _repair_empty(assignment, counts, d2):
         counts[empty] += 1
 
 
-def kmeans(points, k: int, seed: int, restarts: int = 10,
-           max_iter: int = 300) -> Clustering:
+def kmeans(points, k: int, seed: int, restarts: int = 10) -> Clustering:
     """Lloyd's algorithm, ++ seeding, best of `restarts` by within-cluster SSQ.
 
     Every restart is seeded first, in order, from one generator.  Lloyd
@@ -94,9 +98,9 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
     exactly k non-empty clusters.  With fewer distinct points than k, the
     repair can make two tied assignments alternate, so a restart also
     settles when its assignment returns to the one before last.  A
-    restart whose assignment still changes after max_iter iterations
-    keeps its last state; one warning is logged with the count of such
-    restarts.
+    restart whose assignment still changes after `KMEANS_MAX_ITER`
+    iterations keeps its last state; one warning is logged with the count
+    of such restarts.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -108,8 +112,6 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
         raise ValueError(f"k must be in [1, {N}], got {k}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     sq_norms = (points ** 2).sum(axis=1)
     rng = np.random.default_rng(seed)
@@ -119,7 +121,7 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
     before = np.full((restarts, N), -1)  # each restart's previous assignment
     offsets = k * np.arange(restarts)[:, None]  # one label range per restart
     moving = np.arange(restarts)  # restarts whose assignment last changed
-    for step in range(max_iter):
+    for step in range(KMEANS_MAX_ITER):
         m = moving.size
         d2 = _sqdist(points, centers[moving].reshape(-1, d), sq_norms)
         d2 = d2.reshape(N, m, k)
@@ -154,7 +156,7 @@ def kmeans(points, k: int, seed: int, restarts: int = 10,
     if unconverged:
         log.warning("kmeans: %d of %d restarts stopped at max_iter=%d "
                     "before the assignment settled", unconverged, restarts,
-                    max_iter)
+                    KMEANS_MAX_ITER)
     return Clustering(assignment=assignment[best].copy(), k=k,
                       centers=centers[best].copy(),
                       inertia=float(inertia[best]))
@@ -331,7 +333,7 @@ def logistic_grad(w, features, targets, l2: float) -> np.ndarray:
     return g
 
 
-def _newton_logistic(Xa, t, l2, max_steps, tol) -> tuple[np.ndarray, bool]:
+def _newton_logistic(Xa, t, l2, tol) -> tuple[np.ndarray, bool]:
     """Minimize `logistic_loss` by damped Newton (IRLS) from w = 0.
 
     The Hessian is Xaᵀ diag(p(1-p)) Xa / N plus l2 on every weight but
@@ -345,7 +347,7 @@ def _newton_logistic(Xa, t, l2, max_steps, tol) -> tuple[np.ndarray, bool]:
     ridge[-1, -1] = 0.0
     w = np.zeros(D)
     loss = logistic_loss(w, Xa, t, l2)
-    for _ in range(max_steps):
+    for _ in range(CLASSIFIER_MAX_STEPS):
         g = logistic_grad(w, Xa, t, l2)
         if np.linalg.norm(g) <= tol:
             return w, True
@@ -371,15 +373,14 @@ def _newton_logistic(Xa, t, l2, max_steps, tol) -> tuple[np.ndarray, bool]:
 
 
 def train_classifier(vectors, labels, l2: float = CLASSIFIER_L2,
-                     max_steps: int = 100,
                      tol: float = 1e-6) -> LinearClassifier:
     """One-vs-rest logistic regression, each binary problem solved by
     damped Newton to gradient norm <= tol.
 
     The fit is the l2-regularized minimizer (bias unregularized), not an
     artifact of a step cap: a problem runs until its gradient norm is at
-    most tol or it has taken max_steps Newton steps.  One warning is
-    logged with the count of problems that stopped short of tol.
+    most tol or it has taken `CLASSIFIER_MAX_STEPS` Newton steps.  One
+    warning is logged with the count of problems that stopped short.
     """
     X = np.asarray(vectors, dtype=float)
     y = np.asarray(labels).ravel()
@@ -394,13 +395,13 @@ def train_classifier(vectors, labels, l2: float = CLASSIFIER_L2,
     W = np.zeros((classes.size, Xa.shape[1]))
     unconverged = 0
     for ci, cls in enumerate(classes):
-        W[ci], converged = _newton_logistic(Xa, (y == cls).astype(float), l2,
-                                            max_steps, tol)
+        W[ci], converged = _newton_logistic(Xa, (y == cls).astype(float),
+                                            l2, tol)
         unconverged += not converged
     if unconverged:
         log.warning("train_classifier: %d of %d one-vs-rest problems stopped "
                     "short of gradient norm %g (max_steps=%d)", unconverged,
-                    classes.size, tol, max_steps)
+                    classes.size, tol, CLASSIFIER_MAX_STEPS)
     return LinearClassifier(classes=classes, weights=W, l2=l2)
 
 

@@ -50,7 +50,7 @@ class SideInfo:
     the n nodes.  `semgraph.reference` holds the dense sources it is
     checked against.  Construction checks that there are exactly two
     finite, nonnegative lambdas, stored as floats, and that the graph has
-    an edge, which modularity needs; it raises ValueError otherwise.
+    an edge if lambda1 > 0, for modularity; it raises ValueError otherwise.
     """
 
     graph: AttributedGraph
@@ -62,7 +62,7 @@ class SideInfo:
         lam = (float(self.lambdas[0]), float(self.lambdas[1]))
         if not all(np.isfinite(x) and x >= 0 for x in lam):
             raise ValueError(f"lambdas must be finite and non-negative: {lam}")
-        _require_edges(self.graph)
+        _require_edges(self.graph, lam[0])
         object.__setattr__(self, "lambdas", lam)
 
     @property
@@ -83,22 +83,23 @@ class NodeLaplacian:
     rank-1 terms.  The extremes come from the structure: `_modularity_range`
     gives the dense `mnorm`'s exactly, `_cosine_range` to rounding.  A
     source with zero weight, or with max == min (which mnorm maps to
-    zeros), contributes nothing.  D_T is T applied to the ones vector, so
-    L annihilates it exactly.  Supports `L @ X` for X of n rows (one or
-    two dimensions), `shape` and `diagonal()`.
+    zeros), contributes nothing, and lambda1 = 0 needs no edge.  D_T is T
+    applied to the ones vector, so L annihilates it exactly.  Supports
+    `L @ X` for X of n rows (one or two dimensions), `shape`, `diagonal()`.
     """
 
     def __init__(self, g: AttributedGraph, lambdas):
         lam1, lam2 = lambdas
         n = g.n
         self.shape = (n, n)
-        _require_edges(g)
+        _require_edges(g, lam1)
         self._adjacency = g.adjacency
         self._d = _row_sums(self._adjacency)
         self._two_e = self._d.sum()
         self._unit = _unit_rows(g.attr_weights)
         self._unit_t = self._unit.T.tocsr()
-        self._q = self._scale(lam1, _modularity_range(self._adjacency))
+        self._q = (self._scale(lam1, _modularity_range(self._adjacency))
+                   if lam1 else (0.0, 0.0))  # Q is 0/0 without an edge
         self._s = self._scale(lam2, _cosine_range(self._unit))
         self._shift = self._q[1] + self._s[1]
         self._degrees_t = self._similarity(np.ones(n))
@@ -136,7 +137,8 @@ class NodeLaplacian:
         """T's diagonal, from the degrees (A's diagonal is zero) and the
         row norms of U."""
         c_q, c_s = self._q[0], self._s[0]
-        diag = c_q * (0.0 - self._d * self._d / self._two_e)
+        diag = (c_q * (0.0 - self._d * self._d / self._two_e) if c_q
+                else np.zeros(self.shape[0]))
         if c_s:
             diag += c_s * _row_sums(self._unit.multiply(self._unit))
         diag -= self._shift
@@ -205,8 +207,8 @@ def _cosine_range(unit: sparse.csr_array):
     return lo, hi
 
 
-def _require_edges(g: AttributedGraph) -> None:
-    if g.e == 0:
+def _require_edges(g: AttributedGraph, lam1: float) -> None:
+    if lam1 and g.e == 0:
         raise ValueError("modularity is undefined for an edgeless graph")
 
 

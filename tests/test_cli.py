@@ -1,6 +1,8 @@
 """End-to-end command-line tests over small on-disk fixtures."""
 
 import collections
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import semgraph
 from semgraph import (build_hetero_adjacency, build_side_info, factorize,
                       load_graph, planted_attributed_sbm, read_embeddings,
                       side_enhance, walk_matrix, write_embeddings)
-from semgraph import cli, evaluation, sideinfo
+from semgraph import cli, embedding, evaluation, sideinfo
 from semgraph.cli import build_parser, main
 
 
@@ -526,6 +528,20 @@ class TestTraceContract:
         assert main(["describe", *_base_argv(paths, "--dim", "4"),
                      "--attr-clusters", "2"]) == 0
         assert calls["kmeans"] - before == 2
+
+    def test_diagnostics_find_what_they_read(self):
+        """The traced run's diagnostics bind `train_classifier`'s arguments
+        by name and read these fields, functions and properties."""
+        def fields(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        params = inspect.signature(evaluation.train_classifier).parameters
+        assert {"vectors", "labels", "tol"} <= set(params)
+        assert {"classes", "weights", "l2"} <= fields(
+            evaluation.LinearClassifier)
+        assert callable(evaluation.logistic_grad)
+        assert isinstance(embedding.WalkMatrix.matrix, property)
+        assert {"vectors", "context"} <= fields(embedding.EmbeddingModel)
 
 
 class TestSelftestAndParser:

@@ -38,14 +38,16 @@ class TestKmeans:
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.centers, b.centers)
 
-    def test_iteration_cap_warns_once_and_keeps_result(self, caplog):
+    def test_iteration_cap_warns_once_and_keeps_result(self, caplog,
+                                                        monkeypatch):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(40, 3))
         with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
             full = kmeans(pts, 4, seed=9)
         assert not caplog.records
+        monkeypatch.setattr(evaluation, "KMEANS_MAX_ITER", 1)
         with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
-            capped = kmeans(pts, 4, seed=9, max_iter=1)
+            capped = kmeans(pts, 4, seed=9)
         assert len(caplog.records) == 1
         assert "10 of 10 restarts" in caplog.records[0].getMessage()
         # one Lloyd step from the same seeding: a valid, worse clustering
@@ -54,7 +56,7 @@ class TestKmeans:
 
     def test_fewer_distinct_points_than_k_settles(self, caplog):
         # the empty-cluster repair made two tied assignments alternate
-        # until max_iter
+        # until the iteration cap
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(3, 4))[rng.integers(0, 3, size=30)]
         with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
@@ -93,11 +95,6 @@ class TestKmeans:
         with pytest.raises(ValueError, match="restarts"):
             kmeans(pts, 2, seed=0, restarts=0)
 
-    def test_no_iteration_rejected(self):
-        pts = np.random.default_rng(5).normal(size=(10, 2))
-        with pytest.raises(ValueError, match="max_iter"):
-            kmeans(pts, 2, seed=0, max_iter=0)
-
 
 def _blobs(seed):
     """Well-separated Gaussian blobs; k, dimension and sizes from seed."""
@@ -111,13 +108,14 @@ def _blobs(seed):
 
 class TestKmeansMatchesPerRestart:
     """The batched restarts against `oracles.kmeans_per_restart`, the
-    restarts run one by one: same assignment, same SSQ to 1e-12."""
+    restarts run one by one, with the package's iteration cap: same
+    assignment, same SSQ to 1e-12."""
 
     @staticmethod
     def _check(points, k, seed, **kwargs):
         cl = kmeans(points, k, seed, **kwargs)
         (assignment, _, inertia), unconverged = oracles.kmeans_per_restart(
-            points, k, seed, **kwargs)
+            points, k, seed, max_iter=evaluation.KMEANS_MAX_ITER, **kwargs)
         assert np.array_equal(cl.assignment, assignment)
         assert abs(cl.inertia - inertia) <= 1e-12 * inertia
         return cl, unconverged
@@ -175,16 +173,16 @@ class TestKmeansMatchesPerRestart:
         cl, _ = self._check(pts, 12, seed)
         assert np.array_equal(np.unique(cl.assignment), np.arange(12))
 
-    def test_iteration_cap_warns_the_same_count(self, caplog):
+    def test_iteration_cap_warns_the_same_count(self, caplog, monkeypatch):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(200, 4))
         counts = set()
         for max_iter in (1, 2, 4, 8, 16, 300):
             caplog.clear()
+            monkeypatch.setattr(evaluation, "KMEANS_MAX_ITER", max_iter)
             with caplog.at_level(logging.WARNING,
                                  logger="semgraph.evaluation"):
-                _, unconverged = self._check(pts, 6, 5, restarts=10,
-                                             max_iter=max_iter)
+                _, unconverged = self._check(pts, 6, 5, restarts=10)
             messages = [r.getMessage() for r in caplog.records]
             assert messages == ([f"kmeans: {unconverged} of 10 restarts "
                                  f"stopped at max_iter={max_iter} before "

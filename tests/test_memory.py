@@ -14,9 +14,11 @@ similarity built, scaled and mnorm-ed on its stored entries, as the
 relation block is, to about 0.065: B and the blocks it is assembled
 from, all sparse.  The walk
 propagates column blocks and stores CSR (15% of its entries are
-nonzero); it peaks at about 0.67 N^2, its row pieces and the mirrored
-copy, and at about 0.69 with the combined graph B live across it.  The
-dense walk it replaced read 1.15 N^2, and 2.15 with a dense B.
+nonzero); it peaks at about 0.54 N^2, its upper triangle, the
+triangle's transpose and their entrywise maximum, and at about 0.56
+with the combined graph B live across it.  Mirroring the triangle by
+adding the transpose of a `triu` copy read 0.67 and 0.69.  The dense
+walk it replaced read 1.15 N^2, and 2.15 with a dense B.
 `factorize` peaks at about 0.18 N^2, its Lanczos basis and products;
 it read 0.25 when it compared Z with a transposed copy, a check the
 walk now makes once, when it is built (the entrywise `Z != Z.T` read
@@ -31,10 +33,11 @@ attribute rows, solved by conjugate gradients (building both sources
 and their Laplacian densely read 0.95).
 
 Whole commands, run through `cli.main` from the TSV files, peak at about
-0.72 N^2 (`embed`) and 0.80 N^2 (`enhance`).  On the refine-cluster
+0.59 N^2 (`embed`) and 0.62 N^2 (`enhance`).  On the refine-cluster
 benchmark shape (N = 1060 at dim 64, walk order 10), `eval-cluster`
-peaks at about 1.26 N^2 refined and 1.15 N^2 unrefined.  Their bounds
-leave the same headroom, about 1.3 times.  With the walk dense and the
+peaks at about 0.98 N^2 refined and 0.95 N^2 unrefined.  Their bounds
+were set when the walk's `triu` mirror made these 0.72, 0.72, 1.15 and
+1.15, and leave 1.3 to 1.7 times headroom.  With the walk dense and the
 relation block built densely, `embed` read 1.79 N^2 and `enhance` 2.07
 N^2; at refine-cluster the dense walk and `eigh` read 2.75 and 2.32
 N^2.  So a command that makes the CSR walk dense whole, through
@@ -99,7 +102,7 @@ def test_hetero_peak(planted):
 
 def test_walk_peak(planted):
     g, hetero, _ = planted
-    assert _peak_multiple(g.n + g.m, walk_matrix, hetero) <= 0.9
+    assert _peak_multiple(g.n + g.m, walk_matrix, hetero) <= 0.62
 
 
 def test_csr_factorize_peak(planted):
@@ -110,7 +113,7 @@ def test_csr_factorize_peak(planted):
 def test_walk_peak_with_combined_graph(planted):
     g, _, _ = planted
     assert _peak_multiple(g.n + g.m, lambda: walk_matrix(
-        build_hetero_adjacency(g))) <= 0.9
+        build_hetero_adjacency(g))) <= 0.64
 
 
 def test_side_info_peak(planted):

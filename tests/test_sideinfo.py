@@ -263,6 +263,28 @@ class TestBuildSideInfo:
                                match=re.escape(str(raised.value))):
                 make(g, (1.0, 1.0))
 
+    def test_edgeless_refines_without_modularity(self):
+        """Only a weighted modularity needs an edge: at lambda = (0, 1) an
+        edgeless graph refines, with the mnorm-ed cosine's Laplacian."""
+        W = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0],
+                      [1.0, 1.0]])
+        g = _graph(np.zeros((5, 5)), W)
+        for lambdas in ((1.0, 0.0), (1.0, 1.0)):
+            for make in (*self.constructors, sideinfo.NodeLaplacian):
+                with pytest.raises(ValueError, match=re.escape(
+                        "modularity is undefined for an edgeless graph")):
+                    make(g, lambdas)
+        side = build_side_info(g, (0.0, 1.0))
+        L = side.node_laplacian
+        dense = oracles.laplacian(oracles.mnorm(oracles.attribute_cosine(W)))
+        X = np.random.default_rng(0).normal(size=(5, 3))
+        assert _close(L @ X, dense @ X, np.linalg.norm(X))
+        assert _close(L.diagonal(), np.diag(dense), 1.0)
+        from semgraph import build_hetero_adjacency, walk_matrix
+        walk = walk_matrix(build_hetero_adjacency(g))
+        refined = side_enhance(embed(g, dim=3), walk, side)
+        assert np.all(np.isfinite(refined.vectors))
+
 
 def _variants(rng):
     """Valid graphs on a `random_connected_graph` instance, by name."""

@@ -160,8 +160,7 @@ def _model(args, g, refine=False):
               f"entities", file=sys.stderr)
     model = factorize(walk, dim)
     model.node_ids = list(g.node_ids)
-    if model.m == g.m:
-        model.attr_ids = list(g.attr_ids)
+    model.attr_ids = list(g.attr_ids[:model.m])  # all of g's, or none
     if refine:
         side = build_side_info(g, lambdas=(args.lambda1, args.lambda2))
         model = side_enhance(model, walk, side)

@@ -30,10 +30,15 @@ class TopicDescription:
 
 @dataclass(frozen=True)
 class CommunityDescription:
+    """Keywords of one community; `mode` is "direct" if no topic holds them."""
+
     community_id: int
-    mode: str  # "direct" | "topic"
     topics: tuple  # TopicDescription, ordered by topic distance
     q: int
+
+    @property
+    def mode(self) -> str:
+        return "direct" if self.topics[0].topic_id is None else "topic"
 
 
 def _distances(center, vectors, metric):
@@ -78,8 +83,8 @@ def describe_direct(model: EmbeddingModel, clustering: Clustering,
                             q, metric)
         topic = TopicDescription(topic_id=None, distance=None,
                                  keywords=keywords)
-        out.append(CommunityDescription(community_id=cid, mode="direct",
-                                        topics=(topic,), q=q))
+        out.append(CommunityDescription(community_id=cid, topics=(topic,),
+                                        q=q))
     return out
 
 
@@ -121,7 +126,7 @@ def describe_topics(model: EmbeddingModel, node_clustering: Clustering,
             topics.append(TopicDescription(topic_id=int(tid),
                                            distance=float(topic_dist[tid]),
                                            keywords=keywords))
-        out.append(CommunityDescription(community_id=cid, mode="topic",
+        out.append(CommunityDescription(community_id=cid,
                                         topics=tuple(topics), q=q))
     return out
 

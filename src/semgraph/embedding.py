@@ -303,13 +303,11 @@ def _orthonormal_to(basis, x):
 
 
 def _not_converged(Z):
-    """The solver's error, with the norm and finiteness of the CSR Z read
-    from its stored values."""
+    """The solver's error, with the norm of the CSR Z's stored values."""
     size = Z.shape[0]
     return np.linalg.LinAlgError(
         f"factorization failed to converge on a {size}x{size} matrix "
-        f"(norm {np.linalg.norm(Z.data):.3e}, "
-        f"finite={np.all(np.isfinite(Z.data))})")
+        f"(norm {np.linalg.norm(Z.data):.3e})")
 
 
 def embed(g: AttributedGraph, dim: int = 64,
@@ -324,6 +322,5 @@ def embed(g: AttributedGraph, dim: int = 64,
     del hetero  # B is not read past the walk
     model = factorize(walk, dim)
     model.node_ids = list(g.node_ids)
-    if model.m == g.m:
-        model.attr_ids = list(g.attr_ids)
+    model.attr_ids = list(g.attr_ids[:model.m])  # all of g's, or none
     return model

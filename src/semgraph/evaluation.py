@@ -29,14 +29,21 @@ CLASSIFIER_MAX_STEPS = 100
 
 # Lloyd iterations each `kmeans` restart may take.
 KMEANS_MAX_ITER = 300
+# Random splits `evaluate` draws per repeat for one that covers every class.
+TRAIN_SPLIT_ATTEMPTS = 20
 
 
 @dataclass
 class Clustering:
+    """A k-means partition; `k` is the number of its centers."""
+
     assignment: np.ndarray
-    k: int
     centers: np.ndarray
     inertia: float
+
+    @property
+    def k(self) -> int:
+        return self.centers.shape[0]
 
 
 def _pp_centers(points, k, rng, sq_norms):
@@ -157,7 +164,7 @@ def kmeans(points, k: int, seed: int, restarts: int = 10) -> Clustering:
         log.warning("kmeans: %d of %d restarts stopped at max_iter=%d "
                     "before the assignment settled", unconverged, restarts,
                     KMEANS_MAX_ITER)
-    return Clustering(assignment=assignment[best].copy(), k=k,
+    return Clustering(assignment=assignment[best].copy(),
                       centers=centers[best].copy(),
                       inertia=float(inertia[best]))
 
@@ -448,19 +455,19 @@ class EvalReport:
         return "\n".join(rows)
 
 
-def _sample_train(labels, fraction, rng, attempts: int = 20):
+def _sample_train(labels, fraction, rng):
     n = labels.size
     n_train = int(round(fraction * n))
     n_train = max(1, min(n - 1, n_train))
     wanted = np.unique(labels)
-    for _ in range(attempts):
+    for _ in range(TRAIN_SPLIT_ATTEMPTS):
         perm = rng.permutation(n)
         train = perm[:n_train]
         if np.array_equal(np.unique(labels[train]), wanted):
             return train, perm[n_train:]
     raise ValueError(
         f"no train split of {n_train} nodes covered all {wanted.size} "
-        f"classes after {attempts} attempts")
+        f"classes after {TRAIN_SPLIT_ATTEMPTS} attempts")
 
 
 def evaluate(model: EmbeddingModel, g: AttributedGraph,

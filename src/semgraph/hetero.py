@@ -77,18 +77,10 @@ def motif_relations(attr_weights, weighted: bool = False):
 
     A pair with zero weight is in no motif, so both counts are CSR arrays
     on the support of the weights (their positive entries), the pattern
-    `build_hetero_adjacency` blends them on.  A count of zero on the
-    support is stored; `.toarray()` gives the dense counts.
+    `build_hetero_adjacency` blends them on; they share no buffers.  A zero
+    count on the support is stored; `.toarray()` gives the dense counts.
     """
     R0 = _support(attr_weights)
-    return tuple(sparse.csr_array((counts, R0.indices.copy(),
-                                   R0.indptr.copy()), shape=R0.shape)
-                 for counts in _motif_counts(R0, weighted))
-
-
-def _motif_counts(R0: sparse.csr_array, weighted: bool):
-    """The two motif counts of `motif_relations` as fresh value arrays on
-    the pattern of R0, a `_support`."""
     nodes_per_attr = np.bincount(R0.indices, minlength=R0.shape[1])
     attrs_per_node = np.diff(R0.indptr)
     shared_nodes = nodes_per_attr[R0.indices] - 1.0
@@ -96,7 +88,9 @@ def _motif_counts(R0: sparse.csr_array, weighted: bool):
     if weighted:
         shared_nodes *= R0.data
         shared_attrs *= R0.data
-    return shared_nodes, shared_attrs
+    return tuple(sparse.csr_array((counts, R0.indices.copy(),
+                                   R0.indptr.copy()), shape=R0.shape)
+                 for counts in (shared_nodes, shared_attrs))
 
 
 def _relation_block(attr_weights, deltas, weighted: bool) -> sparse.csr_array:
@@ -114,12 +108,11 @@ def _relation_block(attr_weights, deltas, weighted: bool) -> sparse.csr_array:
     if len(deltas) != 3 or not all(np.isfinite(d) and d >= 0 for d in deltas):
         raise ValueError(f"need three finite nonnegative deltas: {deltas}")
     R0 = _support(attr_weights)
-    counts = _motif_counts(R0, weighted)
+    R1, R2 = motif_relations(attr_weights, weighted)
     full = R0.nnz == R0.shape[0] * R0.shape[1]
-    # the blend overwrites R0's values, which the counts have been read from
     blend = _mnorm_in_place(R0.data, full)
     blend *= deltas[0]
-    for d, part in zip(deltas[1:], counts):
+    for d, part in zip(deltas[1:], (R1.data, R2.data)):
         _mnorm_in_place(part, full)
         part *= d
         blend += part

@@ -234,11 +234,14 @@ def load_graph(edges_path, attrs_path, labels_path=None) -> AttributedGraph:
 
 @dataclass
 class EmbeddingFile:
-    """Parsed embedding file: a header plus one tagged vector per entity."""
+    """Parsed embedding file: `entity_count` tagged vectors of `dim` values."""
 
-    entity_count: int
     dim: int
     rows: list[tuple[str, np.ndarray]] = field(default_factory=list)
+
+    @property
+    def entity_count(self) -> int:
+        return len(self.rows)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -308,4 +311,4 @@ def read_embeddings(path) -> EmbeddingFile:
     if len(rows) != count:
         raise ValueError(
             f"{path}: header promises {count} rows, found {len(rows)}")
-    return EmbeddingFile(entity_count=count, dim=dim, rows=rows)
+    return EmbeddingFile(dim=dim, rows=rows)

@@ -48,7 +48,7 @@ class SideInfo:
     the graph on each access; it is the `L` of `update_x` and
     `objective_value`, which read it as zero on the attribute rows past
     the n nodes.  `semgraph.reference` holds the dense sources it is
-    checked against.  Construction checks that there are exactly two
+    checked against.  Construction alone checks that there are exactly two
     finite, nonnegative lambdas, stored as floats, and that the graph has
     an edge if lambda1 > 0, for modularity; it raises ValueError otherwise.
     """
@@ -62,7 +62,8 @@ class SideInfo:
         lam = (float(self.lambdas[0]), float(self.lambdas[1]))
         if not all(np.isfinite(x) and x >= 0 for x in lam):
             raise ValueError(f"lambdas must be finite and non-negative: {lam}")
-        _require_edges(self.graph, lam[0])
+        if lam[0] and self.graph.e == 0:
+            raise ValueError("modularity is undefined for an edgeless graph")
         object.__setattr__(self, "lambdas", lam)
 
     @property
@@ -86,13 +87,13 @@ class NodeLaplacian:
     zeros), contributes nothing, and lambda1 = 0 needs no edge.  D_T is T
     applied to the ones vector, so L annihilates it exactly.  Supports
     `L @ X` for X of n rows (one or two dimensions), `shape`, `diagonal()`.
+    Its graph and lambdas are the ones `SideInfo` checked; it checks neither.
     """
 
     def __init__(self, g: AttributedGraph, lambdas):
         lam1, lam2 = lambdas
         n = g.n
         self.shape = (n, n)
-        _require_edges(g, lam1)
         self._adjacency = g.adjacency
         self._d = _row_sums(self._adjacency)
         self._two_e = self._d.sum()
@@ -109,8 +110,6 @@ class NodeLaplacian:
     def _scale(lam, extremes):
         """(c, c * min) for the source's term c * (M - min) of T."""
         lo, hi = extremes
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("mnorm input must be finite")
         if lam == 0 or hi == lo:
             return 0.0, 0.0
         c = lam / (hi - lo)
@@ -205,11 +204,6 @@ def _cosine_range(unit: sparse.csr_array):
         lo = min(lo, float(gram.data.min()))
         hi = max(hi, float(gram.data.max()))
     return lo, hi
-
-
-def _require_edges(g: AttributedGraph, lam1: float) -> None:
-    if lam1 and g.e == 0:
-        raise ValueError("modularity is undefined for an edgeless graph")
 
 
 def build_side_info(g: AttributedGraph, lambdas=(1.0, 1.0)) -> SideInfo:

@@ -23,8 +23,7 @@ def _model(node_vecs, attr_vecs, attr_ids=None):
 def _clustering(assignment, centers):
     assignment = np.asarray(assignment)
     centers = np.asarray(centers, dtype=float)
-    return Clustering(assignment=assignment, k=centers.shape[0],
-                      centers=centers, inertia=0.0)
+    return Clustering(assignment=assignment, centers=centers, inertia=0.0)
 
 
 class TestDescribeDirect:
@@ -32,7 +31,7 @@ class TestDescribeDirect:
         model = _model([[0.0, 0.0]], [[1.0, 1.0]], attr_ids=["only"])
         clus = _clustering([0], [[0.0, 0.0]])
         descs = describe_direct(model, clus, q=1)
-        assert len(descs) == 1
+        assert len(descs) == 1 and descs[0].mode == "direct"
         (topic,) = descs[0].topics
         assert topic.topic_id is None and topic.distance is None
         assert topic.keywords == (("only", pytest.approx(np.sqrt(2.0))),)
@@ -127,6 +126,13 @@ class TestDescribeDirect:
         clus = _clustering([0], [[1.0, 0.0]])
         kws = describe_direct(model, clus, q=2, metric="cosine")[0]
         assert [a for a, _ in kws.topics[0].keywords] == ["hit", "zero"]
+
+    def test_cosine_from_zero_center_is_one(self):
+        model = _model([[0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]],
+                       attr_ids=["a", "b"])
+        clus = _clustering([0], [[0.0, 0.0]])
+        kws = describe_direct(model, clus, q=2, metric="cosine")[0]
+        assert kws.topics[0].keywords == (("a", 1.0), ("b", 1.0))
 
     def test_unknown_metric(self):
         model = _model(np.eye(2), np.eye(2))

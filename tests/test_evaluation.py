@@ -70,6 +70,7 @@ class TestKmeans:
         for k in (2, 5, 9):
             cl = kmeans(pts, k, seed=k)
             assert np.array_equal(np.unique(cl.assignment), np.arange(k))
+            assert cl.k == cl.centers.shape[0] == k
 
     def test_all_negative_zero_coordinate_averages_to_positive_zero(self):
         """Centers sum their members from +0.0, so a coordinate that is
@@ -89,6 +90,8 @@ class TestKmeans:
             kmeans(pts, 4, seed=0)
         with pytest.raises(ValueError, match="finite"):
             kmeans(np.array([[np.nan, 0.0]]), 1, seed=0)
+        with pytest.raises(ValueError, match="2-d"):
+            kmeans(np.zeros(3), 1, seed=0)
 
     def test_no_restart_rejected(self):
         pts = np.random.default_rng(5).normal(size=(10, 2))
@@ -438,6 +441,47 @@ class TestClassifier:
         assert len(warnings) == 1
         assert "2 of 2" in warnings[0].getMessage()
 
+    def test_line_search_backtracks_then_stops_early(self, caplog,
+                                                      monkeypatch):
+        """At a tiny ridge the full Newton step overshoots: the line search
+        halves it, and once it cannot decrease the loss at float
+        resolution the problem stops, short of the step cap."""
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.normal(size=(20, 2)) + 3.0,
+                       rng.normal(size=(20, 2)) - 3.0])
+        y = np.repeat([0, 1], 20)
+        calls = {"loss": 0, "grad": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "logistic_loss",
+                            counted("loss", logistic_loss))
+        monkeypatch.setattr(evaluation, "logistic_grad",
+                            counted("grad", logistic_grad))
+        with caplog.at_level(logging.WARNING, logger="semgraph.evaluation"):
+            clf = train_classifier(X, y, l2=1e-8, tol=0.0)
+        assert np.all(np.isfinite(clf.weights))
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "2 of 2" in warnings[0].getMessage()
+        # a gradient per Newton step; a loss at w = 0 per problem and one
+        # per step, plus one per halving
+        assert calls["grad"] < 2 * evaluation.CLASSIFIER_MAX_STEPS
+        assert calls["loss"] > calls["grad"] + 2
+
+    def test_bad_input_rejected(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="disagree"):
+            train_classifier(X, [0, 1, 0])
+        with pytest.raises(ValueError, match="disagree"):
+            train_classifier(np.zeros(4), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="l2"):
+            train_classifier(X, [0, 1, 0, 1], l2=-1e-3)
+
     def test_unregularized_zero_feature_does_not_break_solve(self):
         """An all-zero feature with l2 = 0 makes the Hessian exactly
         singular; training still finishes and separates the classes."""
@@ -552,6 +596,16 @@ class TestEvaluate:
                                     attr_ids=g.attr_ids)
         with pytest.raises(ValueError, match="labels"):
             evaluate(_model_from_labels(labels), unlabeled)
+
+    def test_bad_protocol_rejected(self):
+        labels = np.repeat([0, 1], 8)
+        model = _model_from_labels(labels)
+        g = _labeled_graph(labels)
+        with pytest.raises(ValueError, match="repeats"):
+            evaluate(model, g, repeats=0)
+        short = _model_from_labels(labels[:-1])
+        with pytest.raises(ValueError, match="node count"):
+            evaluate(short, g, repeats=1)
 
     def test_impossible_split_errors_after_retries(self):
         labels = np.arange(10) % 3  # 10 nodes, 3 classes

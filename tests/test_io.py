@@ -73,6 +73,10 @@ class TestLoadGraph:
         with pytest.raises(ValueError, match="'c'"):
             load_graph(*_files(tmp_path, "a\tb\n", "a\tx\t1\nc\tx\t0\n"))
 
+    def test_no_nodes_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no nodes in either input file"):
+            load_graph(*_files(tmp_path, "", "\n"))
+
     def test_label_mapping_first_appearance(self, tmp_path):
         g = load_graph(*_files(tmp_path, "a\tb\nb\tc\n", "a\tx\n",
                                "a\tspam\nb\tham\nc\tspam\n"))
@@ -186,6 +190,8 @@ def _broken(case):
         labels = labels[:, None]
     elif case == "float labels":
         labels = labels.astype(float)
+    elif case == "non-square adjacency":
+        A = A[:, :2]
     return A, R, labels
 
 
@@ -197,7 +203,7 @@ _REJECTED = {
     "infinite weight": "finite", "nan weight": "finite",
     "isolated node": "has no edges", "negative label": "labels",
     "short labels": "labels", "2-d labels": "labels",
-    "float labels": "labels",
+    "float labels": "labels", "non-square adjacency": "square",
 }
 
 
@@ -258,6 +264,28 @@ class TestConstruction:
         assert isinstance(g.labels, np.ndarray) and g.c == 2
         assert np.array_equal(dataclasses.replace(g, labels=[1, 0, 2]).labels,
                               [1, 0, 2])
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(node_ids=["a", "b"]), "id lists"),
+        (dict(attr_ids=[]), "id lists"),
+        (dict(attr_weights=sparse.csr_array(np.ones((3, 2)) * [1.0, 0.0]),
+              attr_ids=["x", "y"]), "no positive entry"),
+    ])
+    def test_ids_and_columns_checked(self, change, message):
+        """What `_broken` cannot express: ids given apart from the
+        matrices, and an attribute no node carries."""
+        A, R, labels = _path()
+        fields = dict(adjacency=sparse.csr_array(A),
+                      attr_weights=sparse.csr_array(R),
+                      node_ids=["a", "b", "c"], attr_ids=["x"])
+        with pytest.raises(ValueError, match=message):
+            AttributedGraph(**{**fields, **change})
+
+    @pytest.mark.parametrize("weights", [np.ones((2, 1)), np.ones(3)])
+    def test_from_dense_rejects_weights_of_another_shape(self, weights):
+        A, _, _ = _path()
+        with pytest.raises(ValueError, match="n x m"):
+            AttributedGraph.from_dense(A, weights)
 
     def test_empty_graph_rejected(self):
         A, R, labels = _path()
@@ -405,7 +433,7 @@ class TestEmbeddingFiles:
         path = tmp_path / "emb.txt"
         write_embeddings(model, str(path))
         back = read_embeddings(str(path))
-        assert back.entity_count == 7 and back.dim == 5
+        assert back.entity_count == len(back.rows) == 7 and back.dim == 5
         got = np.array([vec for _, vec in back.rows])
         assert np.array_equal(got, vectors)
         tags = [tag for tag, _ in back.rows]
@@ -430,6 +458,30 @@ class TestEmbeddingFiles:
         path = tmp_path / "bad.txt"
         path.write_text(f"{header}\nn:a 1.0 2.0\n")
         with pytest.raises(ValueError, match="malformed header"):
+            read_embeddings(str(path))
+
+    def test_model_ids_must_cover_vectors(self, tmp_path):
+        model = self._model(np.zeros((2, 2)), ["a", "b"], [])
+        model.node_ids = ["a"]
+        with pytest.raises(ValueError, match="vector count"):
+            write_embeddings(model, str(tmp_path / "emb.txt"))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 1\n\nn:a 0\n\nn:b 1\n")
+        back = read_embeddings(str(path))
+        assert [tag for tag, _ in back.rows] == ["n:a", "n:b"]
+
+    @pytest.mark.parametrize("row, message", [
+        ("n:a 1", "expected 2 components"),
+        ("n:a 1 x", "bad value"),
+        ("n:a 1 nan", "non-finite"),
+        ("n:a 1 -inf", "non-finite"),
+    ])
+    def test_bad_row(self, tmp_path, row, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 2\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.txt:2: {message}"):
             read_embeddings(str(path))
 
     def test_duplicate_tag(self, tmp_path):

@@ -101,7 +101,7 @@ class TestModularity:
         A = np.zeros((2, 2))
         g = _graph(A, np.ones((2, 1)))
         with pytest.raises(ValueError, match="edge"):
-            sideinfo.NodeLaplacian(g, (1.0, 1.0))
+            SideInfo(g, (1.0, 1.0))
 
 
 class TestAttributeCosine:
@@ -256,11 +256,9 @@ class TestBuildSideInfo:
 
     def test_edgeless_rejected(self):
         g = _graph(np.zeros((2, 2)), np.ones((2, 1)))
-        with pytest.raises(ValueError) as raised:
-            sideinfo.NodeLaplacian(g, (1.0, 1.0))
         for make in self.constructors:
-            with pytest.raises(ValueError,
-                               match=re.escape(str(raised.value))):
+            with pytest.raises(ValueError, match=re.escape(
+                    "modularity is undefined for an edgeless graph")):
                 make(g, (1.0, 1.0))
 
     def test_edgeless_refines_without_modularity(self):
@@ -270,7 +268,7 @@ class TestBuildSideInfo:
                       [1.0, 1.0]])
         g = _graph(np.zeros((5, 5)), W)
         for lambdas in ((1.0, 0.0), (1.0, 1.0)):
-            for make in (*self.constructors, sideinfo.NodeLaplacian):
+            for make in self.constructors:
                 with pytest.raises(ValueError, match=re.escape(
                         "modularity is undefined for an edgeless graph")):
                     make(g, lambdas)
@@ -366,6 +364,12 @@ class TestNodeLaplacian:
                     assert _matches_reference(L, side, X), name
                     assert _matches_reference(L, side, X[:, 0]), name
                     assert not (L @ np.ones(g.n)).any(), name
+
+    def test_rows_of_x_checked(self):
+        L = SideInfo(_triangle(), (1.0, 1.0)).node_laplacian
+        for X in (np.ones(4), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="L covers 3 rows"):
+                L @ X
 
     def test_update_x_matches_lu(self):
         """`update_x` with the operator matches the literal formula with

@@ -84,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     _input_flags(p)
     _pipeline_flags(p)
     p.add_argument("--out", required=True, help="output embedding file")
+    p.set_defaults(run=_cmd_embed)
 
     p = sub.add_parser("enhance",
                        help="embed, then refine with side-information "
@@ -92,10 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     _pipeline_flags(p)
     _lambda_flags(p, default=(1.0, 1.0))
     p.add_argument("--out", required=True, help="output embedding file")
+    p.set_defaults(run=_cmd_embed)
 
-    for task in ("eval-cluster", "eval-classify"):
-        p = sub.add_parser(task,
-                           help=f"run the {task.split('-')[1]} protocol "
+    for command, task in (("eval-cluster", "clustering"),
+                          ("eval-classify", "classification")):
+        p = sub.add_parser(command,
+                           help=f"run the {command.split('-')[1]} protocol "
                                 "(enhancement applied when a lambda is "
                                 "nonzero)")
         _input_flags(p, labels_required=True)
@@ -108,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 0.1); eval-cluster ignores it")
         p.add_argument("--out", default=None,
                        help="also write metric<TAB>value records here")
+        p.set_defaults(run=_cmd_eval, task=task)
 
     p = sub.add_parser("describe",
                        help="print community keyword blocks (topic mode "
@@ -128,24 +132,25 @@ def build_parser() -> argparse.ArgumentParser:
                         "distance")
     p.add_argument("--out", default=None,
                    help="also write the description blocks here")
+    p.set_defaults(run=_cmd_describe)
 
     p = sub.add_parser("selftest",
                        help="cross-check fast paths against reference code")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for the random suites (default 0)")
+    p.set_defaults(run=lambda args: 0 if run_selftest(seed=args.seed) else 1)
     return parser
 
 
-def _load(args):
-    return load_graph(args.edges, args.attrs, labels_path=args.labels)
-
-
-def _model(args, g, refine=False):
-    """Shared pipeline: combined graph, walk matrix, rank-k
-    factorization, and with refine=True one refinement round against the
-    side information weighted by --lambda1 / --lambda2.  A --dim below 1
-    is rejected before anything is built; one above the combined graph's
-    size is clamped to it."""
+def _model(args):
+    """Shared pipeline: load, combined graph, walk matrix, rank-k
+    factorization, and one refinement round against the side information
+    weighted by --lambda1 / --lambda2: always on `enhance`, on `eval-*`
+    and `describe` when a lambda is nonzero, never on `embed`, which has
+    no lambdas.  A --dim below 1 is rejected before anything is built;
+    one above the combined graph's size is clamped to it.  Returns the
+    graph and the model."""
+    g = load_graph(args.edges, args.attrs, labels_path=args.labels)
     if args.dim < 1:
         raise ValueError(f"dim must be >= 1, got {args.dim}")
     hetero = build_hetero_adjacency(
@@ -161,35 +166,36 @@ def _model(args, g, refine=False):
     model = factorize(walk, dim)
     model.node_ids = list(g.node_ids)
     model.attr_ids = list(g.attr_ids[:model.m])  # all of g's, or none
-    if refine:
-        side = build_side_info(g, lambdas=(args.lambda1, args.lambda2))
-        model = side_enhance(model, walk, side)
-    return model
+    lambdas = (getattr(args, "lambda1", 0.0), getattr(args, "lambda2", 0.0))
+    if args.command == "enhance" or any(lambdas):
+        model = side_enhance(model, walk, build_side_info(g, lambdas=lambdas))
+    return g, model
+
+
+def _show(text, out, saved):
+    """Print text and, with --out, write `saved` there."""
+    print(text)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(saved + "\n")
+    return 0
 
 
 def _cmd_embed(args):
-    """`embed`, and `enhance`, which always refines before writing."""
-    g = _load(args)
-    model = _model(args, g, refine=args.command == "enhance")
-    write_embeddings(model, args.out)
+    """`embed` and `enhance`: write the model."""
+    write_embeddings(_model(args)[1], args.out)
     return 0
 
 
-def _cmd_eval(args, task):
-    g = _load(args)
-    model = _model(args, g, refine=bool(args.lambda1 or args.lambda2))
-    report = evaluate(model, g, task=task, repeats=args.repeats,
+def _cmd_eval(args):
+    g, model = _model(args)
+    report = evaluate(model, g, task=args.task, repeats=args.repeats,
                       train_fraction=args.train_frac, seed=args.seed)
-    print(report.table())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(report.records()) + "\n")
-    return 0
+    return _show(report.table(), args.out, "\n".join(report.records()))
 
 
 def _cmd_describe(args):
-    g = _load(args)
-    model = _model(args, g, refine=bool(args.lambda1 or args.lambda2))
+    g, model = _model(args)
     k1 = args.node_clusters
     if k1 is None:
         if g.c is None:
@@ -207,27 +213,13 @@ def _cmd_describe(args):
         blocks = describe_topics(model, node_cl, attr_cl, q=args.keywords,
                                  t=args.topics, metric=metric)
     text = format_descriptions(blocks)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0
+    return _show(text, args.out, text)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("embed", "enhance"):
-            return _cmd_embed(args)
-        if args.command == "eval-cluster":
-            return _cmd_eval(args, "clustering")
-        if args.command == "eval-classify":
-            return _cmd_eval(args, "classification")
-        if args.command == "describe":
-            return _cmd_describe(args)
-        if args.command == "selftest":
-            return 0 if run_selftest(seed=args.seed) else 1
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except Exception as exc:  # single-line machine-readable failure
         print(f"error\t{exc}", file=sys.stderr)
         return 1

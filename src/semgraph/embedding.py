@@ -175,8 +175,7 @@ def walk_matrix(hetero: HeteroAdjacency, order: int = 4,
         upper_rows.append(sparse.csr_array(
             (piece.data, piece.indices + start, piece.indptr),
             shape=(width, size)))
-    # csr_array: `vstack` and `triu` return the older matrix types on
-    # scipy < 1.11.
+    # csr_array: `vstack` returns the older matrix type on scipy < 1.11.
     triangle = sparse.csr_array(sparse.vstack(upper_rows, format="csr"))
     del upper_rows  # freed before the mirror is made
     # exact: the two patterns meet only on the diagonal, with equal values

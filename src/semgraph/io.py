@@ -185,8 +185,6 @@ def load_graph(edges_path, attrs_path, labels_path=None) -> AttributedGraph:
         weights[key] = weights.get(key, 0.0) + w
 
     n = len(node_index)
-    if n == 0:
-        raise ValueError("empty graph: no nodes in either input file")
     node_ids = list(node_index)  # dicts keep insertion order = index order
     attr_ids = list(attr_index)
 

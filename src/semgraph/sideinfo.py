@@ -98,7 +98,6 @@ class NodeLaplacian:
         self._d = _row_sums(self._adjacency)
         self._two_e = self._d.sum()
         self._unit = _unit_rows(g.attr_weights)
-        self._unit_t = self._unit.T.tocsr()
         self._q = (self._scale(lam1, _modularity_range(self._adjacency))
                    if lam1 else (0.0, 0.0))  # Q is 0/0 without an edge
         self._s = self._scale(lam2, _cosine_range(self._unit))
@@ -126,7 +125,7 @@ class NodeLaplacian:
         else:
             TX = np.zeros(X.shape)
         if c_s:
-            UX = self._unit @ (self._unit_t @ X)
+            UX = self._unit @ (self._unit.T @ X)
             UX *= c_s
             TX += UX
         TX -= self._shift * X.sum(axis=0)

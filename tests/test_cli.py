@@ -146,16 +146,22 @@ class TestEnhance:
         assert ref1.read_bytes() != plain.read_bytes()
 
     def test_matches_library_refinement(self, dataset):
-        """`enhance` runs one refinement round even with both lambdas 0."""
+        """`enhance` runs one refinement round even with both lambdas 0,
+        so its file is never `embed`'s."""
         paths, tmp = dataset
         g = load_graph(str(paths["edges"]), str(paths["attrs"]))
         walk = walk_matrix(build_hetero_adjacency(g))
         plain = factorize(walk, 4).vectors
+        embedded = tmp / "p.tsv"
+        assert main(["embed", *_base_argv(paths, labels=False), "--dim", "4",
+                     "--out", str(embedded)]) == 0
         for lambdas in ((0.5, 2.0), (0.0, 0.0)):
             out = tmp / "e.tsv"
-            main(["enhance", *_base_argv(paths, labels=False), "--dim", "4",
-                  "--lambda1", str(lambdas[0]), "--lambda2", str(lambdas[1]),
-                  "--out", str(out)])
+            assert main(["enhance", *_base_argv(paths, labels=False),
+                         "--dim", "4", "--lambda1", str(lambdas[0]),
+                         "--lambda2", str(lambdas[1]),
+                         "--out", str(out)]) == 0
+            assert out.read_bytes() != embedded.read_bytes()
             model = side_enhance(factorize(walk, 4), walk,
                                  build_side_info(g, lambdas=lambdas))
             model.node_ids = list(g.node_ids)
@@ -230,6 +236,22 @@ class TestEval:
         assert main(["eval-cluster", *argv]) == 0
         assert main(["eval-classify", *argv]) == 1
         assert "train_fraction" in capsys.readouterr().err
+
+    def test_explicit_zero_lambdas_skip_refinement(self, dataset,
+                                                   monkeypatch, capsys):
+        """`eval-*` refines only for a nonzero lambda: explicit zeros
+        print what the defaults print, and no round runs."""
+        rounds = []
+        monkeypatch.setattr(cli, "side_enhance",
+                            lambda *args: rounds.append(args))
+        paths, _ = dataset
+        argv = ["eval-cluster", *_base_argv(paths), "--dim", "6",
+                "--repeats", "3"]
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main(argv + ["--lambda1", "0", "--lambda2", "0"]) == 0
+        assert capsys.readouterr() == default
+        assert not rounds
 
     def test_enhanced_eval_runs(self, dataset, capsys):
         paths, _ = dataset
@@ -549,6 +571,15 @@ class TestSelftestAndParser:
         assert main(["selftest", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok ") >= 4 and "FAIL" not in out
+
+    @pytest.mark.parametrize("argv", [[], ["nope"]])
+    def test_missing_or_unknown_command_is_a_usage_error(self, argv,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: semgraph") and not captured.out
 
     def test_all_documented_flags_exist(self):
         parser = build_parser()

@@ -74,7 +74,7 @@ class TestLoadGraph:
             load_graph(*_files(tmp_path, "a\tb\n", "a\tx\t1\nc\tx\t0\n"))
 
     def test_no_nodes_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no nodes in either input file"):
+        with pytest.raises(ValueError, match="empty graph: no nodes"):
             load_graph(*_files(tmp_path, "", "\n"))
 
     def test_label_mapping_first_appearance(self, tmp_path):
